@@ -26,7 +26,7 @@ class Table1FeaturesBench extends SparkSpec {
 class Fig7ProcessingBench extends SparkSpec {
   test("Fig 7: total processing time, all queries x engines, delta & full modes") {
     val rows = fig7(spark)
-    printTable("Fig 7: processing time",
+    printTable(fig7Title,
       Seq("query", "engine", "mode", "ms", "deltas", "space", "status"),
       rows.map(r => Seq(r.query, r.engine, r.mode, r.ms, r.deltas.toString,
         r.space.toString, if (r.finished) "ok" else "DNF")))

@@ -18,8 +18,8 @@ object JobSupport {
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 
-  def rowsTable(rows: Seq[Row]): Unit =
-    printTable("results", Seq("query", "engine", "mode", "ms", "deltas", "space", "status"),
+  def rowsTable(title: String, rows: Seq[Row]): Unit =
+    printTable(title, Seq("query", "engine", "mode", "ms", "deltas", "space", "status"),
       rows.map(r => Seq(r.query, r.engine, r.mode, r.ms, r.deltas.toString,
         r.space.toString, if (r.finished) "ok" else "DNF")))
 }
@@ -32,7 +32,7 @@ object JobTable1 {
 object JobFig7 {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("fig7")
-    try JobSupport.rowsTable(fig7(spark)) finally spark.stop()
+    try JobSupport.rowsTable(fig7Title, fig7(spark)) finally spark.stop()
   }
 }
 

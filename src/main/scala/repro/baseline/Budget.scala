@@ -6,7 +6,8 @@ package repro.baseline
   * the standard-CP/HIVM engines can blow up *inside a single update* (a hub
   * edge joining two power-law fans materializes millions of intermediate
   * delta tuples), where a between-updates wall-clock budget cannot help.
-  * The driver treats this as a DNF.
+  * The driver treats this as a DNF. The update is left half-applied, so the
+  * engine that threw it refuses any further use.
   */
 final class BudgetExceeded(val engine: String, val ops: Long)
     extends RuntimeException(s"$engine exceeded $ops ops inside one update")

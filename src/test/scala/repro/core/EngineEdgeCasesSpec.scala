@@ -1,54 +1,69 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baseline.{Hivm, StandardIvm}
 import repro.core.Tup.T
 import repro.workload.Queries
 import scala.collection.mutable
 
 /** Engine edge cases: set semantics, ineffective updates, early-stopped
-  * enumeration, construction-time validation — the corners the randomized
-  * harness hits only probabilistically.
+  * enumeration, construction-time validation, budget aborts — the corners
+  * the randomized harness hits only probabilistically. The corners every
+  * engine must handle alike run over CROWN and both baselines.
   */
 class EngineEdgeCasesSpec extends AnyFunSuite {
 
   private def mk(cq: CQ): CrownEngine = new CrownEngine(cq, JoinTree.choose(cq).get)
   private val fig2full = Queries.fig2(Vector("x1", "x2", "x3"))
 
+  /** CROWN and both baselines, for the corners every engine must handle alike. */
+  private val engines: Seq[CQ => IncrementalEngine] =
+    Seq(mk, new StandardIvm(_), new Hivm(_))
+
+  private def forEachEngine(cq: CQ)(body: IncrementalEngine => Unit): Unit =
+    for (make <- engines) {
+      val e = make(cq)
+      withClue(s"${e.name}: ")(body(e))
+    }
+
   test("ineffective updates are ignored (set semantics, §3.1)") {
-    val e = mk(fig2full)
-    assert(e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ()) == 0)
-    // duplicate insert: no-op, no delta
-    assert(e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ()) == 0)
-    // delete of an absent tuple: no-op
-    assert(e.processUpdate(Upd("R2", Tup(9L, 9L), isInsert = false))(_ => ()) == 0)
-    assert(e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ()) == 1)
-    // duplicate insert of a joining tuple still produces no delta
-    assert(e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ()) == 0)
+    forEachEngine(fig2full) { e =>
+      assert(e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ()) == 0)
+      // duplicate insert: no-op, no delta
+      assert(e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ()) == 0)
+      // delete of an absent tuple: no-op
+      assert(e.processUpdate(Upd("R2", Tup(9L, 9L), isInsert = false))(_ => ()) == 0)
+      assert(e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ()) == 1)
+      // duplicate insert of a joining tuple still produces no delta
+      assert(e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ()) == 0)
+    }
   }
 
   test("insert-delete-insert cycles restore exact state") {
-    val e = mk(fig2full)
-    e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ())
-    e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ())
-    val s1 = e.fullSet
-    val sp1 = e.spaceEntries
-    e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = false))(_ => ())
-    assert(e.fullSet.isEmpty)
-    e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ())
-    assert(e.fullSet == s1)
-    assert(e.spaceEntries == sp1, "space leaked across a delete/insert cycle")
+    forEachEngine(fig2full) { e =>
+      e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ())
+      e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ())
+      val s1 = e.fullSet
+      val sp1 = e.spaceEntries
+      e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = false))(_ => ())
+      assert(e.fullSet.isEmpty)
+      e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ())
+      assert(e.fullSet == s1)
+      assert(e.spaceEntries == sp1, "space leaked across a delete/insert cycle")
+    }
   }
 
   test("deleting everything empties every view (no residue)") {
-    val e = mk(Queries.hop3Full(1000))
-    val edges = Seq(Tup(1L, 2L), Tup(2L, 3L), Tup(3L, 4L), Tup(2L, 2L))
-    for (t <- edges; a <- Seq("G1", "G2", "G3"))
-      e.processUpdate(Upd(a, t, isInsert = true))(_ => ())
-    assert(e.fullSet.nonEmpty)
-    for (t <- edges; a <- Seq("G1", "G2", "G3"))
-      e.processUpdate(Upd(a, t, isInsert = false))(_ => ())
-    assert(e.fullSet.isEmpty)
-    assert(e.spaceEntries == 0, s"residual entries: ${e.spaceEntries}")
+    forEachEngine(Queries.hop3Full(1000)) { e =>
+      val edges = Seq(Tup(1L, 2L), Tup(2L, 3L), Tup(3L, 4L), Tup(2L, 2L))
+      for (t <- edges; a <- Seq("G1", "G2", "G3"))
+        e.processUpdate(Upd(a, t, isInsert = true))(_ => ())
+      assert(e.fullSet.nonEmpty)
+      for (t <- edges; a <- Seq("G1", "G2", "G3"))
+        e.processUpdate(Upd(a, t, isInsert = false))(_ => ())
+      assert(e.fullSet.isEmpty)
+      assert(e.spaceEntries == 0, s"residual entries: ${e.spaceEntries}")
+    }
   }
 
   test("enumeration stops early when the callback returns false") {
@@ -62,9 +77,29 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
   }
 
   test("unknown relation raises") {
-    val e = mk(fig2full)
-    intercept[IllegalArgumentException] {
-      e.processUpdate(Upd("nope", Tup(1L), isInsert = true))(_ => ())
+    forEachEngine(fig2full) { e =>
+      intercept[IllegalArgumentException] {
+        e.processUpdate(Upd("nope", Tup(1L), isInsert = true))(_ => ())
+      }
+    }
+  }
+
+  test("a baseline that exceeds its op budget mid-update refuses further use") {
+    for (make <- Seq[CQ => IncrementalEngine](new StandardIvm(_, 1L), new Hivm(_, 1L))) {
+      val e = make(fig2full)
+      // every R1 tuple joins every R2 tuple on x2 = 2
+      val grow = Iterator.from(1).map(i =>
+        if (i % 2 == 0) Upd("R2", Tup(2L, i.toLong), isInsert = true)
+        else Upd("R1", Tup(i.toLong, 2L), isInsert = true))
+      intercept[repro.baseline.BudgetExceeded] {
+        grow.take(20).foreach(u => e.processUpdate(u)(_ => ()))
+      }
+      val upd = intercept[IllegalStateException] {
+        e.processUpdate(Upd("R1", Tup(7L, 7L), isInsert = true))(_ => ())
+      }
+      assert(upd.getMessage.contains(e.name))
+      val enumerate = intercept[IllegalStateException](e.enumerateFull(_ => true))
+      assert(enumerate.getMessage.contains(e.name))
     }
   }
 
