@@ -51,76 +51,35 @@ object Ring {
 final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
                               baseAnnot: (String, T) => A)(implicit ring: Ring[A]) {
 
-  private val y = cq.output
-  private val ySet = y.toSet
-
   private final class NState(var count: Int, var w: A)
 
-  private final class ANode(val id: Int, val attrs: Vector[String], val atom: Option[Atom]) {
-    val isGen: Boolean = atom.isEmpty
-    var parent: ANode = _
-    var children: Array[ANode] = Array.empty
-    var childPos: Int = -1
-    val yAttrs: Vector[String] = attrs.filter(ySet.contains)
-    def isRoot: Boolean = parent == null
-    var keyAttrs: Vector[String] = Vector.empty
-    var keyIdx: Array[Int] = _
-    var yIdx: Array[Int] = _
-    var yOut: Array[Int] = _
-    var childKeyIdx: Array[Array[Int]] = _
-    var subtreeHasY: Boolean = false
-    // state
+  private final class Node(id: Int, attrs: Vector[String], atom: Option[Atom], ySet: Set[String])
+      extends PlanNode[Node](id, attrs, atom, ySet) {
     val tuples = mutable.HashMap.empty[T, NState]
     var childIdx: Array[mutable.HashMap[T, mutable.HashSet[T]]] = _
     val vpCnt = mutable.HashMap.empty[T, Int]                  // non-root membership
     val vsByKey = mutable.HashMap.empty[T, mutable.HashSet[T]] // non-root
-    val vpAgg = mutable.HashMap.empty[T, A]                    // non-root, !subtreeHasY
+    val vpAgg = mutable.HashMap.empty[T, A]                    // non-root, subtreeY empty
   }
 
-  private val nodes = mutable.ArrayBuffer.empty[ANode]
-  private val root: ANode = {
-    def build(s: JTNode): ANode = {
-      val n = new ANode(nodes.length, s.attrs, s.atomName.map(cq.atomByName))
-      nodes += n
-      n.children = s.children.map(build).toArray
-      for ((c, i) <- n.children.zipWithIndex) { c.parent = n; c.childPos = i }
-      n
-    }
-    build(treeSpec)
-  }
-  locally {
-    def mark(n: ANode): Boolean = {
-      val below = n.children.map(mark).count(identity) > 0
-      n.subtreeHasY = n.yAttrs.nonEmpty || below
-      n.subtreeHasY
-    }
-    mark(root)
-  }
-  // two passes: children's keyAttrs must exist before parents compile
-  // their child-key projections
-  for (n <- nodes) {
-    n.yIdx = Tup.projIdx(n.attrs, n.yAttrs)
-    n.yOut = Tup.projIdx(y, n.yAttrs)
-    if (!n.isRoot) {
-      n.keyAttrs = n.parent.attrs.filter(n.attrs.contains)
-      n.keyIdx = Tup.projIdx(n.attrs, n.keyAttrs)
-    }
-  }
-  for (n <- nodes) {
-    n.childKeyIdx = n.children.map(c => Tup.projIdx(n.attrs, c.keyAttrs))
-    if (!n.isGen) n.childIdx = n.children.map(_ => mutable.HashMap.empty[T, mutable.HashSet[T]])
-  }
-  private val atomNode: Map[String, ANode] =
-    nodes.filter(_.atom.isDefined).map(n => n.atom.get.name -> n).toMap
+  private val plan = new Plan[Node](cq, treeSpec)(new Node(_, _, _, _))
+  private val root: Node = plan.root
+  for (n <- plan.nodes if !n.isGen)
+    n.childIdx = n.children.map(_ => mutable.HashMap.empty[T, mutable.HashSet[T]])
 
-  private def member(e: ANode, st: NState): Boolean = st.count == e.children.length
+  private def member(e: Node, st: NState): Boolean = st.count == e.children.length
 
-  /** Recompute a no-output-subtree tuple's annotated weight (formula (10)). */
-  private def wValue(e: ANode, t: T): A = {
+  /** Annotated weight of tuple `t` at `e` (formula (10)): its base annotation
+    * times the maintained `vpAgg` factor of every aggregated-away child. On
+    * a node whose subtree has no output attribute that is every child.
+    */
+  private def weight(e: Node, t: T): A = {
     var v = e.atom.map(a => baseAnnot(a.name, t)).getOrElse(ring.one)
     var i = 0
     while (i < e.children.length) {
-      v = ring.times(v, e.children(i).vpAgg.getOrElse(Tup.proj(t, e.childKeyIdx(i)), ring.zero))
+      val c = e.children(i)
+      if (c.subtreeY.isEmpty)
+        v = ring.times(v, c.vpAgg.getOrElse(Tup.proj(t, e.childKeyIdx(i)), ring.zero))
       i += 1
     }
     v
@@ -129,13 +88,13 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
   /** Push a membership and/or weight change of `t` at `e` into `e`'s views
     * and onward to the parent. `wasMember`/`oldW` describe the state before.
     */
-  private def settle(e: ANode, t: T, wasMember: Boolean, oldW: A): Unit = {
+  private def settle(e: Node, t: T, wasMember: Boolean, oldW: A): Unit = {
     val st = e.tuples.getOrElse(t, null)
     val isMember = st != null && member(e, st)
     val newW =
       if (!isMember) ring.zero
-      else if (e.subtreeHasY) ring.one // weights only tracked on no-Y subtrees
-      else wValue(e, t)
+      else if (e.subtreeY.nonEmpty) ring.one // weights only tracked on no-Y subtrees
+      else weight(e, t)
     if (st != null) st.w = newW
     if (e.isRoot) return
     val k = Tup.proj(t, e.keyIdx)
@@ -151,7 +110,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
       if (c == 1) { e.vpCnt.remove(k); cntFlip = true } else e.vpCnt(k) = c - 1
     }
     var wDelta = ring.zero
-    if (!e.subtreeHasY) {
+    if (e.subtreeY.isEmpty) {
       wDelta = ring.plus(newW, ring.negate(if (wasMember) oldW else ring.zero))
       if (wDelta != ring.zero) {
         val cur = ring.plus(e.vpAgg.getOrElse(k, ring.zero), wDelta)
@@ -162,7 +121,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
   }
 
   /** Parent-side reaction to a child projection-view change under key `k`. */
-  private def touchParent(child: ANode, k: T, cntFlip: Boolean): Unit = {
+  private def touchParent(child: Node, k: T, cntFlip: Boolean): Unit = {
     val p = child.parent
     if (p.isGen) {
       val existing = p.tuples.get(k)
@@ -193,7 +152,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
 
   /** Apply one base-table update. */
   def update(u: Upd): Unit = {
-    val e = atomNode(u.rel)
+    val e = plan.atomNode(u.rel)
     if (cq.atomFilters.get(u.rel).exists(f => !f(u.t))) return
     if (u.isInsert) {
       if (e.tuples.contains(u.t)) return
@@ -229,38 +188,25 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
     */
   def results(): Map[T, A] = {
     val out = mutable.HashMap.empty[T, A]
-    val slots = new Array[Any](y.length)
+    val slots = new Array[Any](cq.output.length)
 
-    def factor(e: ANode, t: T): A = {
-      var v = e.atom.map(a => baseAnnot(a.name, t)).getOrElse(ring.one)
-      var i = 0
-      while (i < e.children.length) {
-        val c = e.children(i)
-        if (!c.subtreeHasY)
-          v = ring.times(v, c.vpAgg.getOrElse(Tup.proj(t, e.childKeyIdx(i)), ring.zero))
-        i += 1
-      }
-      v
-    }
-
-    def writeY(e: ANode, t: T): Unit = {
+    def writeY(e: Node, t: T): Unit = {
       var i = 0
       while (i < e.yIdx.length) { slots(e.yOut(i)) = t(e.yIdx(i)); i += 1 }
     }
 
-    def descend(e: ANode, t: T, acc: A, cont: A => Unit): Unit = {
+    def descend(e: Node, t: T, acc: A, cont: A => Unit): Unit = {
       writeY(e, t)
-      val kids = e.children.filter(_.subtreeHasY)
       def go(i: Int, a: A): Unit = {
-        if (i == kids.length) cont(a)
+        if (i == e.outKids.length) cont(a)
         else {
-          val c = kids(i)
+          val c = e.outKids(i)
           c.vsByKey.get(Tup.proj(t, e.childKeyIdx(c.childPos))).foreach { set =>
             for (tt <- set) descend(c, tt, a, go(i + 1, _))
           }
         }
       }
-      go(0, ring.times(acc, factor(e, t)))
+      go(0, ring.times(acc, weight(e, t)))
     }
 
     for ((t, st) <- root.tuples if member(root, st)) {

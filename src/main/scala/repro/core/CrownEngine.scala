@@ -35,40 +35,14 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   override def name: String = "CROWN"
 
   private val y: Vector[String] = cq.output
-  private val ySet: Set[String] = y.toSet
   require(y.nonEmpty, "CROWN needs at least one output attribute")
 
   // ---------------------------------------------------------------- nodes
 
   private final class TupState(var count: Int)
 
-  private final class Node(val id: Int, val attrs: Vector[String],
-                           val atom: Option[Atom]) {
-    val isGen: Boolean = atom.isEmpty
-    var parent: Node = _
-    var children: Array[Node] = Array.empty
-    var childPos: Int = -1 // position of this node among parent's children
-
-    val yAttrs: Vector[String] = attrs.filter(ySet.contains)
-    val hasY: Boolean = yAttrs.nonEmpty
-    val mixed: Boolean = attrs.exists(a => !ySet.contains(a))
-    def isRoot: Boolean = parent == null
-    def isLeaf: Boolean = children.isEmpty
-
-    // compiled projections (filled in init)
-    var keyAttrs: Vector[String] = Vector.empty // attrs ∩ parent, parent order
-    var keyIdx: Array[Int] = _                  // attrs -> keyAttrs
-    var yIdx: Array[Int] = _                    // attrs -> yAttrs
-    var yOut: Array[Int] = _                    // yAttrs -> output slots
-    var linkAttrs: Vector[String] = Vector.empty // attrs ∩ parent ∩ y, parent order
-    var linkUpIdx: Array[Int] = _               // yAttrs -> linkAttrs
-    var childKeyIdx: Array[Array[Int]] = _      // per child: attrs -> key(child)
-    var childKeyFromY: Array[Array[Int]] = _    // per child: yAttrs -> key(child), if key ⊆ y
-    var liveKeyIdx: Array[Array[Int]] = _       // per child: yAttrs -> linkAttrs(child)
-    var enumKids: Array[Node] = Array.empty     // children whose subtree adds output attrs
-    var depth: Int = 0
-
-    // state
+  private final class Node(id: Int, attrs: Vector[String], atom: Option[Atom], ySet: Set[String])
+      extends PlanNode[Node](id, attrs, atom, ySet) {
     val tuples = mutable.HashMap.empty[T, TupState]
     var childIdx: Array[mutable.HashMap[T, mutable.HashSet[T]]] = _ // input nodes
     val vp = mutable.HashMap.empty[T, Int]                          // non-root
@@ -81,72 +55,27 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // ---------------------------------------------------------- compilation
 
-  private val nodes = mutable.ArrayBuffer.empty[Node]
-  private val root: Node = {
-    def build(spec: JTNode): Node = {
-      val n = new Node(nodes.length, spec.attrs, spec.atomName.map(cq.atomByName))
-      nodes += n
-      n.children = spec.children.map(build).toArray
-      for ((c, i) <- n.children.zipWithIndex) { c.parent = n; c.childPos = i }
-      n
-    }
-    build(treeSpec)
-  }
+  private val plan = new Plan[Node](cq, treeSpec)(new Node(_, _, _, _))
+  private val nodes: Array[Node] = plan.nodes
+  private val root: Node = plan.root
   require(root.hasY, s"root of $treeSpec carries no output attribute")
 
-  private val atomNode: Map[String, Node] =
-    nodes.filter(_.atom.isDefined).map(n => n.atom.get.name -> n).toMap
-
-  private val subtreeY: Array[Set[String]] = {
-    val a = new Array[Set[String]](nodes.length)
-    def rec(n: Node): Set[String] = {
-      val s = n.yAttrs.toSet ++ n.children.flatMap(rec(_))
-      a(n.id) = s; s
-    }
-    rec(root); a
-  }
-
-  // pass 1: key/link attribute sets (parent-order canonical) for every node
   for (n <- nodes) {
-    n.yIdx = Tup.projIdx(n.attrs, n.yAttrs)
-    n.yOut = Tup.projIdx(y, n.yAttrs) // positions of yAttrs inside the output
-    if (!n.isRoot) {
-      n.keyAttrs = n.parent.attrs.filter(n.attrs.contains)
-      n.keyIdx = Tup.projIdx(n.attrs, n.keyAttrs)
-      n.linkAttrs = n.parent.attrs.filter(a => n.attrs.contains(a) && ySet.contains(a))
-      if (n.hasY) n.linkUpIdx = Tup.projIdx(n.yAttrs, n.linkAttrs)
-    }
-  }
-  // pass 2: projections that read the children's key/link attrs
-  for (n <- nodes) {
-    n.childKeyIdx = n.children.map(c => Tup.projIdx(n.attrs, c.keyAttrs))
-    n.childKeyFromY = n.children.map(c =>
-      if (c.keyAttrs.forall(ySet.contains)) Tup.projIdx(n.yAttrs, c.keyAttrs) else null)
-    if (n.hasY)
-      n.liveKeyIdx = n.children.map(c =>
-        if (c.hasY) Tup.projIdx(n.yAttrs, c.linkAttrs) else null)
-    n.enumKids = n.children.filter(c => (subtreeY(c.id) -- n.attrs).nonEmpty)
     if (!n.isGen) n.childIdx = n.children.map(_ => mutable.HashMap.empty[T, mutable.HashSet[T]])
     n.liveIdx = n.children.map(c =>
       if (n.hasY && c.hasY) mutable.HashMap.empty[T, mutable.HashSet[T]] else null)
   }
-  for (n <- nodes if !n.isRoot) n.depth = n.parent.depth + 1
   for (n <- nodes; c <- n.enumKids) {
     require(c.hasY, s"enum child ${c.attrs} carries no output attribute (unsupported tree)")
     require(n.childKeyFromY(c.childPos) != null,
       s"join key into output-bearing child ${c.attrs} is not all-output — tree not enumerable")
   }
 
-  /** Leaf-to-root path per input node. */
-  private val pathOf: Map[String, Array[Node]] = atomNode.map { case (a, n) =>
-    a -> Iterator.iterate(n)(_.parent).takeWhile(_ != null).toArray
-  }
-
   /** Internal non-root output-carrying nodes (live views live here),
     * top-down order for deletion maintenance.
     */
   private val liveNodes: Array[Node] =
-    nodes.filter(n => !n.isRoot && !n.isLeaf && n.hasY).sortBy(_.depth).toArray
+    nodes.filter(n => !n.isRoot && !n.isLeaf && n.hasY).sortBy(_.depth)
 
   // -------------------------------------------------------------- deltas
 
@@ -361,8 +290,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   }
 
   override def processUpdate(u: Upd)(emit: T => Unit): Long = {
-    val node = atomNode.getOrElse(u.rel,
-      throw new IllegalArgumentException(s"unknown relation ${u.rel}"))
+    val node = plan.atomNode(u.rel)
     if (cq.atomFilters.get(u.rel).exists(f => !f(u.t))) return 0L // §7.2 selection
     if (u.isInsert) processInsert(node, u.t, emit) else processDelete(node, u.t, emit)
   }
@@ -456,7 +384,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * live view, excluding projections changed by this very update (Def 5.6).
     */
   private def enumerateDeltas(e0: Node, emit: T => Unit): Long = {
-    val path = pathOf(e0.atom.get.name)
+    val path = plan.pathOf(e0.atom.get.name)
     var count = 0L
     val emitRes = () => {
       val res = ArraySeq.unsafeWrapArray(slots.clone()): T

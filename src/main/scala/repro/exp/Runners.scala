@@ -211,23 +211,12 @@ object Runners {
     Seq("CROWN" -> (() => Compiler.compile(cq): IncrementalEngine),
         "Trill(StdCP-delta)" -> (() => new StandardIvm(cq): IncrementalEngine)).map {
       case (label, mk) =>
-        val eng = mk()
-        val lats = new scala.collection.mutable.ArrayBuffer[Long](updates.size)
-        val deadline = System.nanoTime() + budgetMs * 1000000L
-        val it = updates.iterator
-        while (it.hasNext && System.nanoTime() < deadline) {
-          val u = it.next()
-          val t0 = System.nanoTime()
-          eng.processUpdate(u)(_ => ())
-          lats += System.nanoTime() - t0
-        }
-        val done = lats.toArray
-        val sorted = done.sorted
+        val st = Driver.run(mk(), updates, budgetMillis = budgetMs)
+        val lat = st.latencyNanos
         def avg(a: Array[Long]) = if (a.isEmpty) 0.0 else a.map(_ / 1000.0).sum / a.length
-        val q = done.length / 4
-        Fig11Row(label, avg(done),
-          sorted((sorted.length * 0.99).toInt.min(sorted.length - 1)) / 1000.0,
-          avg(done.slice(q, 2 * q)), avg(done.slice(3 * q, done.length)))
+        val q = lat.length / 4
+        Fig11Row(label, st.avgLatencyMicros, st.p99LatencyMicros,
+          avg(lat.slice(q, 2 * q)), avg(lat.slice(3 * q, lat.length)))
     }
   }
 

@@ -11,7 +11,8 @@ import repro.core.{IncrementalEngine, Upd}
 object Driver {
 
   /** One run's measurements. `finished = false` means the time budget was
-    * exhausted (reported like the paper's DNF bars).
+    * exhausted (reported like the paper's DNF bars). `latencyNanos` holds
+    * each processed update's latency in stream order.
     */
   final case class RunStats(
       engine: String,
@@ -23,7 +24,8 @@ object Driver {
       peakSpace: Long,
       workOps: Long,
       finished: Boolean,
-      fullResults: Long) {
+      fullResults: Long,
+      latencyNanos: Array[Long]) {
     def throughput: Double = if (millis <= 0) 0 else updates / millis * 1000.0
   }
 
@@ -73,11 +75,12 @@ object Driver {
     }
     val totalMs = (System.nanoTime() - start - offClock) / 1e6
     peak = math.max(peak, engine.spaceEntries)
-    val done = lat.take(i)
+    val inOrder = lat.take(i)
+    val done = inOrder.clone()
     java.util.Arrays.sort(done)
     val avg = if (i == 0) 0.0 else done.map(_ / 1000.0).sum / i
     val p99 = if (i == 0) 0.0 else done(math.min(i - 1, (i * 0.99).toInt)) / 1000.0
     RunStats(engine.name, i.toLong, deltas, totalMs, avg, p99, peak, engine.workOps,
-      finished, fullCount)
+      finished, fullCount, inOrder)
   }
 }

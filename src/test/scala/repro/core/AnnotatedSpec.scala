@@ -79,4 +79,10 @@ class AnnotatedSpec extends AnyFunSuite {
         .map { case (g, v) => g -> v.toSeq.map(_(2).asInstanceOf[Long].toDouble + 0.5).sum }
         .filter(_._2 != 0.0))
   }
+
+  test("unknown relation raises an argument error, as in CrownEngine") {
+    val eng = new AnnotatedCrown[Long](chain2, JoinTree.choose(chain2).get, (_, _) => 1L)
+    val err = intercept[IllegalArgumentException](eng.update(Upd("R9", Tup(1L, 2L), isInsert = true)))
+    assert(err.getMessage.contains("unknown relation R9"))
+  }
 }

@@ -113,6 +113,26 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
     }
   }
 
+  test("engine refuses valid join trees that are not enumerable") {
+    // R1(R2) with output (x1,x3): the key x2 into output-bearing R2 is not output
+    val keyNotOutput = CQ("keyNotOutput", Vector(Atom("R1", Vector("x1", "x2")),
+      Atom("R2", Vector("x2", "x3"))), Vector("x1", "x3"))
+    val t1 = JTNode(Vector("x1", "x2"), Some("R1"), Vector(
+      JTNode(Vector("x2", "x3"), Some("R2"), Vector.empty)))
+    // R1(R2(R3)) with output (x1,x4): R2 adds output below it but carries none
+    val noOutputChild = CQ("noOutputChild", Vector(Atom("R1", Vector("x1", "x2")),
+      Atom("R2", Vector("x2", "x3")), Atom("R3", Vector("x3", "x4"))), Vector("x1", "x4"))
+    val t2 = JTNode(Vector("x1", "x2"), Some("R1"), Vector(
+      JTNode(Vector("x2", "x3"), Some("R2"), Vector(
+        JTNode(Vector("x3", "x4"), Some("R3"), Vector.empty)))))
+    for ((cq, tree, msg) <- Seq((keyNotOutput, t1, "not all-output"),
+                                (noOutputChild, t2, "carries no output attribute"))) {
+      assert(JoinTree.validate(cq, tree) == Right(()))
+      val err = intercept[IllegalArgumentException](new CrownEngine(cq, tree))
+      assert(err.getMessage.contains(msg), err.getMessage)
+    }
+  }
+
   test("deltas of one update are disjoint from pre-existing results (Lemma 5.7)") {
     val e = mk(Queries.hop3Full(1000))
     val pre = mutable.Set.empty[T]
