@@ -137,7 +137,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
       p.childIdx(child.childPos).get(k) match {
         case None => ()
         case Some(set) =>
-          for (tt <- set.toList) {
+          for (tt <- set) { // settle never touches p.childIdx
             val st = p.tuples(tt)
             val wasMember = member(p, st)
             val oldW = st.w

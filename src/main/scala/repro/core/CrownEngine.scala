@@ -25,10 +25,11 @@ import scala.collection.mutable
   * projection-level view deltas and enumerates each `Q(D ⋉ t')` by joining
   * the witness with the live views up the path and running FullEnum on the
   * disjoint subtrees (Algorithm 6). Insertions enumerate on the post-update
-  * state with pre-update live views; deletions plan the propagation as a dry
-  * run, enumerate on the pre-deletion state excluding the dying projections,
-  * then apply the mutations — the time-reversed mirror, realizing the
-  * disjoint union of Lemma 5.7.
+  * state with pre-update live views. Deletions run the mirrored cascade,
+  * whose counters drop at once, while the leaving tuples stay in the
+  * enumeration indexes until the delta has been enumerated with the dying
+  * projections excluded — the time-reversed mirror, realizing the disjoint
+  * union of Lemma 5.7.
   */
 final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEngine {
 
@@ -162,61 +163,61 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     n
   }
 
-  /** One level of the deletion cascade: tuples leaving `V_s(node)` and the
-    * `V_p` keys whose derivation count drops to zero.
+  /** Delete-side S-Update/P-Update cascade: `tt` just left `V_s(e)`. Counters
+    * drop at once; `vsByKey` and `projByKey` keep `tt` until the delta has
+    * been enumerated ([[dropLeftVs]]).
     */
-  private final class DelLevel(val node: Node) {
-    val leaving = mutable.ArrayBuffer.empty[T]
-    val removedKeys = mutable.ArrayBuffer.empty[T]
+  private def leaveVs(e: Node, tt: T): Unit = {
+    val d = nodeDeltas(e.id)
+    d.vsTuples += tt
+    if (e.hasY) {
+      val yp = Tup.proj(tt, e.yIdx)
+      val pc = e.projCnt(yp)
+      if (pc == 1) {
+        e.projCnt.remove(yp)
+        d.projs += yp; d.projSet += yp
+        if (e.isRoot) rootLiveRemove(yp)
+      } else e.projCnt(yp) = pc - 1
+    }
+    if (!e.isRoot) {
+      val k = Tup.proj(tt, e.keyIdx)
+      val old = e.vp(k)
+      if (old == 1) {
+        e.vp.remove(k)
+        pUpdateDelete(e.parent, e, k)
+      } else e.vp(k) = old - 1
+    }
   }
 
-  /** Dry-run deletion propagation: computes per-node view deltas (recorded
-    * into `nodeDeltas` for witness detection) without mutating any view.
-    * Returns the cascade levels, or None if `t0` is absent (ineffective).
+  /** Delete-side P-Update (Algorithm 3): key `k` left `V_p(child)`. A parent
+    * tuple leaves `V_s` if its counter was full; a generated tuple whose
+    * counter reaches 0 is removed.
     */
-  private def planDelete(e0: Node, t0: T): Option[mutable.ArrayBuffer[DelLevel]] = {
-    val st0 = e0.tuples.getOrElse(t0, null)
-    if (st0 == null) return None
-    val levels = mutable.ArrayBuffer.empty[DelLevel]
-    var lv = new DelLevel(e0)
-    if (st0.count == e0.children.length) lv.leaving += t0
-    var continue = lv.leaving.nonEmpty
-    while (continue) {
-      val e = lv.node
-      levels += lv
-      val d = nodeDeltas(e.id)
-      lv.leaving.foreach(d.vsTuples += _)
-      if (e.hasY) {
-        for ((yp, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.yIdx)))
-          if (e.projCnt(yp) == g.size) { d.projs += yp; d.projSet += yp }
-      }
-      if (e.isRoot) continue = false
-      else {
-        for ((k, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.keyIdx)))
-          if (e.vp(k) == g.size) lv.removedKeys += k
-        val p = e.parent
-        val next = new DelLevel(p)
-        for (k <- lv.removedKeys) {
-          if (p.isGen) {
-            val pst = p.tuples(k)
-            if (pst.count == p.children.length) next.leaving += k
-          } else {
-            for (set <- p.childIdx(e.childPos).get(k); tt <- set)
-              if (p.tuples(tt).count == p.children.length) next.leaving += tt
+  private def pUpdateDelete(p: Node, child: Node, k: T): Unit = {
+    if (p.isGen) {
+      val st = p.tuples(k)
+      if (st.count == p.children.length) leaveVs(p, k)
+      st.count -= 1; ops += 1
+      if (st.count == 0) p.tuples.remove(k)
+    } else {
+      p.childIdx(child.childPos).get(k) match {
+        case None => ()
+        case Some(set) =>
+          for (tt <- set) {
+            val st = p.tuples(tt)
+            if (st.count == p.children.length) leaveVs(p, tt)
+            st.count -= 1; ops += 1
           }
-        }
-        if (next.leaving.isEmpty) continue = false
-        lv = next
       }
     }
-    Some(levels)
   }
 
-  /** Mutate all views according to a deletion plan (the cascade recorded by
-    * [[planDelete]]), including removing `t0` from the base relation.
-    */
-  private def applyDelete(levels: mutable.ArrayBuffer[DelLevel], e0: Node, t0: T): Unit = {
-    // base relation removal
+  private def processDelete(e0: Node, t0: T, emit: T => Unit): Long = {
+    val st = e0.tuples.getOrElse(t0, null)
+    if (st == null) return 0L // ineffective under set semantics
+    clearBuffers(e0)
+    // R-Update (Algorithm 4)
+    e0.tuples.remove(t0)
     var i = 0
     while (i < e0.children.length) {
       val k = Tup.proj(t0, e0.childKeyIdx(i))
@@ -224,68 +225,42 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         set -= t0
         if (set.isEmpty) e0.childIdx(i).remove(k)
       }
-      i += 1
       ops += 1
+      i += 1
     }
-    e0.tuples.remove(t0)
-    for (lv <- levels) {
-      val e = lv.node
-      if (e.hasY) {
-        for ((yp, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.yIdx))) {
-          val pc = e.projCnt(yp)
-          if (pc == g.size) {
-            e.projCnt.remove(yp)
-            if (e.isRoot) rootLiveRemove(yp)
-          } else e.projCnt(yp) = pc - g.size
-        }
-        if (e.mixed && !e.isRoot) {
-          for (tt <- lv.leaving) {
-            val k = Tup.proj(tt, e.keyIdx)
-            val yp = Tup.proj(tt, e.yIdx)
-            val m = e.projByKey(k)
-            val c = m(yp)
-            if (c == 1) { m.remove(yp); if (m.isEmpty) e.projByKey.remove(k) }
-            else m(yp) = c - 1
-          }
-        }
-      }
-      if (!e.isRoot) {
-        for (tt <- lv.leaving) {
-          val k = Tup.proj(tt, e.keyIdx)
-          e.vsByKey.get(k).foreach { set =>
-            set -= tt
-            if (set.isEmpty) e.vsByKey.remove(k)
-          }
-        }
-        for ((k, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.keyIdx))) {
-          val c = e.vp(k)
-          if (c == g.size) e.vp.remove(k) else e.vp(k) = c - g.size
-        }
-        val p = e.parent
-        for (k <- lv.removedKeys) {
-          if (p.isGen) {
-            val pst = p.tuples(k)
-            pst.count -= 1; ops += 1
-            if (pst.count == 0) p.tuples.remove(k)
-          } else {
-            for (set <- p.childIdx(e.childPos).get(k); tt <- set) {
-              p.tuples(tt).count -= 1; ops += 1
-            }
-          }
-        }
-      }
-    }
+    if (st.count == e0.children.length) leaveVs(e0, t0)
+    val n = enumerateDeltas(e0, emit) // the leaving tuples are still indexed
+    dropLeftVs(e0)
+    applyLiveDeletes()
+    n
   }
 
-  private def processDelete(e0: Node, t0: T, emit: T => Unit): Long = {
-    clearBuffers(e0)
-    planDelete(e0, t0) match {
-      case None => 0L
-      case Some(levels) =>
-        val n = enumerateDeltas(e0, emit) // pre-deletion state
-        applyDelete(levels, e0, t0)
-        applyLiveDeletes()
-        n
+  /** Remove the tuples that left `V_s` along `e0`'s path from the
+    * enumeration indexes `vsByKey` and `projByKey` (the root keeps neither).
+    */
+  private def dropLeftVs(e0: Node): Unit = {
+    val path = e0.path
+    var i = 0
+    while (i < path.length - 1) {
+      val e = path(i)
+      val left = nodeDeltas(e.id).vsTuples
+      var j = 0
+      while (j < left.length) {
+        val tt = left(j)
+        val k = Tup.proj(tt, e.keyIdx)
+        val set = e.vsByKey(k)
+        set -= tt
+        if (set.isEmpty) e.vsByKey.remove(k)
+        if (e.hasY && e.mixed) {
+          val yp = Tup.proj(tt, e.yIdx)
+          val m = e.projByKey(k)
+          val c = m(yp)
+          if (c == 1) { m.remove(yp); if (m.isEmpty) e.projByKey.remove(k) }
+          else m(yp) = c - 1
+        }
+        j += 1
+      }
+      i += 1
     }
   }
 
@@ -296,8 +271,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   }
 
   private def clearBuffers(e0: Node): Unit = {
-    var n = e0
-    while (n != null) { nodeDeltas(n.id).clear(); n = n.parent }
+    for (n <- e0.path) nodeDeltas(n.id).clear()
     liveNodes.foreach(e => liveBuf(e.id).clear())
   }
 
@@ -384,7 +358,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * live view, excluding projections changed by this very update (Def 5.6).
     */
   private def enumerateDeltas(e0: Node, emit: T => Unit): Long = {
-    val path = plan.pathOf(e0.atom.get.name)
+    val path = e0.path
     var count = 0L
     val emitRes = () => {
       val res = ArraySeq.unsafeWrapArray(slots.clone()): T

@@ -33,6 +33,7 @@ abstract class PlanNode[N <: PlanNode[N]](val id: Int, val attrs: Vector[String]
   var enumKids: Array[N] = _                   // children whose subtree adds output attrs
   var outKids: Array[N] = _                    // children whose subtree has any output attr
   var depth: Int = 0
+  var path: Array[N] = _                       // leaf-to-root: this node first, root last
 }
 
 /** A generalized join tree for `cq` compiled once into linked nodes and
@@ -80,7 +81,8 @@ final class Plan[N <: PlanNode[N]](cq: CQ, tree: JTNode)(
       n.linkAttrs = n.parent.attrs.filter(a => n.attrs.contains(a) && ySet.contains(a))
       if (n.hasY) n.linkUpIdx = Tup.projIdx(n.yAttrs, n.linkAttrs)
       n.depth = n.parent.depth + 1 // preorder: the parent is done
-    }
+      n.path = n +: n.parent.path
+    } else n.path = Array(n)
   }
   // pass 2: projections that read the children's key/link attrs
   for (n <- nodes) {
@@ -100,9 +102,4 @@ final class Plan[N <: PlanNode[N]](cq: CQ, tree: JTNode)(
   /** The node of relation `rel`; an unknown relation is an argument error. */
   def atomNode(rel: String): N =
     byAtom.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel"))
-
-  /** Leaf-to-root path per input node. */
-  val pathOf: Map[String, Array[N]] = byAtom.map { case (a, n) =>
-    a -> Iterator.iterate(n)(_.parent).takeWhile(_ != null).toArray
-  }
 }

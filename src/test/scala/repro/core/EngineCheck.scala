@@ -8,7 +8,8 @@ import scala.util.Random
 /** Shared randomized-equivalence harness: drives any [[IncrementalEngine]]
   * with random mixed insert/delete sequences (self-join expanded) and checks
   * after every base update that the emitted delta equals the from-scratch
-  * `ΔQ(D,t)` and (periodically) that full enumeration equals `Q(D)`.
+  * `ΔQ(D,t)` and (periodically) that full enumeration equals `Q(D)` and the
+  * engine holds as many entries as one built by inserting the current `D`.
   */
 object EngineCheck {
 
@@ -61,6 +62,11 @@ object EngineCheck {
           withClue(s"${cq.name}/${engine.name} round=$round step=$step FULL: ") {
             assert(full == exp,
               s"full mismatch: missing=${exp -- full} extra=${full -- exp}")
+            val fresh = mkEngine()
+            for ((rel, ts) <- after; t <- ts)
+              fresh.processUpdate(Upd(rel, t, isInsert = true))(_ => ())
+            assert(engine.spaceEntries == fresh.spaceEntries,
+              "state differs from an engine built from the surviving tuples")
           }
         }
       }
