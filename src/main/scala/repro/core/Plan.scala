@@ -34,6 +34,7 @@ abstract class PlanNode[N <: PlanNode[N]](val id: Int, val attrs: Vector[String]
   var outKids: Array[N] = _                    // children whose subtree has any output attr
   var depth: Int = 0
   var path: Array[N] = _                       // leaf-to-root: this node first, root last
+  var wideKeys: Array[Array[Int]] = Array.empty // atoms: attrs -> each stored key of 3+ attrs
 }
 
 /** A generalized join tree for `cq` compiled once into linked nodes and
@@ -96,10 +97,27 @@ final class Plan[N <: PlanNode[N]](cq: CQ, tree: JTNode)(
     n.outKids = n.children.filter(_.subtreeY.nonEmpty)
   }
 
+  // pass 3: the keys of three or more attributes that views store, which an
+  // encoded engine keeps as dictionary entries. A key stored at node n is a
+  // projection of a tuple of n, hence of a live base tuple of an atom below
+  // n whose attributes cover n's; each such atom lists the projection.
+  for (a <- nodes if !a.isGen) {
+    val stored = for {
+      n <- a.path.iterator if n.attrs.forall(a.attrs.contains)
+      key <- Iterator(n.attrs, n.keyAttrs, n.yAttrs) ++
+        n.children.iterator.flatMap(c => Iterator(c.keyAttrs, c.linkAttrs))
+      if key.length >= 3
+    } yield key
+    a.wideKeys = stored.distinct.map(Tup.projIdx(a.attrs, _)).toArray
+  }
+
   private val byAtom: Map[String, N] =
     nodes.iterator.filter(_.atom.isDefined).map(n => n.atom.get.name -> n).toMap
 
   /** The node of relation `rel`; an unknown relation is an argument error. */
-  def atomNode(rel: String): N =
-    byAtom.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel"))
+  def atomNode(rel: String): N = {
+    val n = byAtom.getOrElse(rel, null.asInstanceOf[N])
+    if (n == null) throw new IllegalArgumentException(s"unknown relation $rel")
+    n
+  }
 }

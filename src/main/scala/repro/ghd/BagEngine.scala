@@ -53,6 +53,9 @@ final class BagEngine(val output: Vector[String], permille: Int = 1000)
     tri1.spaceEntries + tri2.spaceEntries + inner.spaceEntries
   override def workOps: Long = tri1.workOps + tri2.workOps + inner.workOps
 
+  /** Dictionary entries of the cross-bag CROWN plan. */
+  def dictEntries: Long = inner.dictEntries
+
   /** Height of the cross-bag plan (for reports). */
   def planHeight: Int = tree.height
 }

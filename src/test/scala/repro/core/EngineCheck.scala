@@ -9,9 +9,18 @@ import scala.util.Random
   * with random mixed insert/delete sequences (self-join expanded) and checks
   * after every base update that the emitted delta equals the from-scratch
   * `ΔQ(D,t)` and (periodically) that full enumeration equals `Q(D)` and the
-  * engine holds as many entries as one built by inserting the current `D`.
+  * engine holds as many entries, and as many dictionary entries, as one
+  * built by inserting the current `D`.
   */
 object EngineCheck {
+
+  /** Dictionary entries of an engine that encodes its tuples, else 0. */
+  def dictEntries(e: IncrementalEngine): Long = e match {
+    case c: CrownEngine => c.dictEntries
+    case p: ProjectionAdapter => dictEntries(p.inner)
+    case b: repro.ghd.BagEngine => b.dictEntries
+    case _ => 0L
+  }
 
   def snapshot(db: mutable.Map[String, mutable.Set[T]]): Map[String, Set[T]] =
     db.view.mapValues(_.toSet).toMap
@@ -67,6 +76,8 @@ object EngineCheck {
               fresh.processUpdate(Upd(rel, t, isInsert = true))(_ => ())
             assert(engine.spaceEntries == fresh.spaceEntries,
               "state differs from an engine built from the surviving tuples")
+            assert(dictEntries(engine) == dictEntries(fresh),
+              "dictionary differs from that of an engine built from the surviving tuples")
           }
         }
       }

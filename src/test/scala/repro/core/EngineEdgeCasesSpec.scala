@@ -63,6 +63,7 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
         e.processUpdate(Upd(a, t, isInsert = false))(_ => ())
       assert(e.fullSet.isEmpty)
       assert(e.spaceEntries == 0, s"residual entries: ${e.spaceEntries}")
+      assert(EngineCheck.dictEntries(e) == 0, s"residual dictionary entries: ${EngineCheck.dictEntries(e)}")
     }
   }
 

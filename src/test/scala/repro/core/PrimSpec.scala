@@ -1,0 +1,148 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
+import scala.util.Random
+
+/** The open-addressing tables of `Prim.scala` against Scala's own
+  * `mutable.HashSet`/`HashMap`, driven by the same seeded random operations:
+  * every answer, the size and the iterated content must agree after every
+  * step.
+  */
+class PrimSpec extends AnyFunSuite {
+
+  /** Keys from a small domain, so that operations hit present keys, with 0
+    * (the packed empty projection) and the extreme values mixed in.
+    */
+  private def key(rnd: Random): Long = rnd.nextInt(12) match {
+    case 0 => 0L
+    case 1 => Long.MinValue
+    case 2 => Long.MaxValue
+    case 3 => -1L
+    case _ => rnd.nextInt(40).toLong - 5
+  }
+
+  private def slots(t: LongTable): Iterator[Int] =
+    Iterator.iterate(t.nextSlot(0))(s => t.nextSlot(s + 1)).takeWhile(_ >= 0)
+
+  private def keysOf(t: LongTable): Set[Long] = {
+    val ks = slots(t).map(t.keyAt).toVector
+    assert(ks.distinct.size == ks.size, s"a key iterated twice: $ks")
+    ks.toSet
+  }
+
+  test("LongSet agrees with mutable.HashSet on random adds, removes, lookups and clears") {
+    for (seed <- 1 to 20) {
+      val rnd = new Random(seed)
+      val s = new LongSet(2)
+      val ref = mutable.HashSet.empty[Long]
+      for (step <- 0 until 2000) {
+        val k = key(rnd)
+        withClue(s"seed=$seed step=$step key=$k: ") {
+          rnd.nextInt(100) match {
+            case r if r < 45 => assert(s.add(k) == ref.add(k))
+            case r if r < 80 => assert(s.remove(k) == ref.remove(k))
+            case r if r < 99 => assert(s.contains(k) == ref.contains(k))
+            case _ => s.clear(); ref.clear()
+          }
+          assert(s.size == ref.size)
+          assert(s.isEmpty == ref.isEmpty)
+          assert(keysOf(s) == ref)
+        }
+      }
+    }
+  }
+
+  test("LongIntMap agrees with mutable.HashMap on random puts, adds, removes, lookups and clears") {
+    for (seed <- 1 to 20) {
+      val rnd = new Random(seed)
+      val m = new LongIntMap(2)
+      val ref = mutable.HashMap.empty[Long, Int]
+      for (step <- 0 until 2000) {
+        val k = key(rnd)
+        val v = rnd.nextInt(7) - 3
+        withClue(s"seed=$seed step=$step key=$k: ") {
+          rnd.nextInt(100) match {
+            case r if r < 25 => m.put(k, v); ref(k) = v
+            case r if r < 45 =>
+              val sum = ref.getOrElse(k, 0) + v
+              ref(k) = sum
+              assert(m.addTo(k, v) == sum)
+            case r if r < 75 => assert(m.remove(k) == ref.remove(k).isDefined)
+            case r if r < 99 =>
+              assert(m.get(k, Int.MinValue) == ref.getOrElse(k, Int.MinValue))
+              assert(m.contains(k) == ref.contains(k))
+            case _ => m.clear(); ref.clear()
+          }
+          assert(m.size == ref.size)
+          assert(slots(m).map(s => m.keyAt(s) -> m.valueAt(s)).toMap == ref)
+        }
+      }
+    }
+  }
+
+  test("LongObjMap agrees with mutable.HashMap on random inserts, removes, lookups and clears") {
+    for (seed <- 1 to 20) {
+      val rnd = new Random(seed)
+      val m = new LongObjMap[String](2)
+      val ref = mutable.HashMap.empty[Long, String]
+      for (step <- 0 until 2000) {
+        val k = key(rnd)
+        val v = rnd.nextInt(5).toString
+        withClue(s"seed=$seed step=$step key=$k: ") {
+          rnd.nextInt(100) match {
+            case r if r < 45 => assert(m.getOrElseUpdate(k, () => v) == ref.getOrElseUpdate(k, v))
+            case r if r < 75 => assert(m.remove(k) == ref.remove(k).isDefined)
+            case r if r < 99 => assert(m.get(k) == ref.getOrElse(k, null))
+            case _ => m.clear(); ref.clear()
+          }
+          assert(m.size == ref.size)
+          assert(slots(m).map(s => m.keyAt(s) -> m.valueAt(s)).toMap == ref)
+        }
+      }
+    }
+  }
+
+  test("a removal shifts back a run that wraps past the end of the table") {
+    val s = new LongSet(16)
+    val last = s.capacity - 1
+    // keys whose probe starts in the last slot: the run wraps to slots 0, 1, ...
+    val wrapping = Iterator.from(1).map(_.toLong).filter(s.slot0(_) == last).take(4).toVector
+    val atZero = Iterator.from(1).map(_.toLong).filter(s.slot0(_) == 0).take(2).toVector
+    val all = wrapping ++ atZero
+    all.foreach(k => assert(s.add(k)))
+    assert(s.capacity == 16, "the test keys must not grow the table")
+    for ((k, i) <- all.zipWithIndex) {
+      assert(s.remove(k))
+      for (rest <- all.drop(i + 1)) assert(s.contains(rest), s"$rest lost after removing $k")
+      assert(keysOf(s) == all.drop(i + 1).toSet)
+    }
+    assert(s.isEmpty)
+  }
+
+  test("growth keeps every entry, key 0 included") {
+    val m = new LongIntMap(2)
+    for (k <- -50L to 50L) m.put(k * 1000003L, k.toInt)
+    assert(m.size == 101)
+    assert(m.capacity >= 2 * 101)
+    for (k <- -50L to 50L) assert(m.get(k * 1000003L, -999) == k.toInt)
+    assert(m.get(0L, -999) == 0 && m.contains(0L))
+  }
+
+  test("key 0 is stored, iterated, removed and cleared like any other key") {
+    val s = new LongSet(2)
+    assert(!s.contains(0L))
+    assert(s.add(0L) && !s.add(0L))
+    assert(s.size == 1 && keysOf(s) == Set(0L))
+    s.add(5L)
+    s.clear()
+    assert(s.isEmpty && !s.contains(0L) && keysOf(s).isEmpty)
+    s.add(0L)
+    assert(s.remove(0L) && !s.remove(0L) && s.isEmpty)
+    val m = new LongObjMap[String](2)
+    assert(m.get(0L) == null)
+    assert(m.getOrElseUpdate(0L, () => "empty") == "empty")
+    assert(m.getOrElseUpdate(0L, () => "other") == "empty")
+    assert(slots(m).map(m.valueAt).toList == List("empty"))
+  }
+}
