@@ -83,6 +83,21 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   private val newSet: () => LongSet = () => new LongSet
   private val newCounts: () => LongIntMap = () => new LongIntMap
 
+  /** The wide keys that the base tuples of input node `a` retain, as index
+    * arrays into `a`'s attributes. A key stored at node `n` is a projection
+    * of a tuple of `n`, hence of a live base tuple of an atom below `n` whose
+    * attributes cover `n`'s; each such atom lists the projection.
+    */
+  private def wideKeys(a: Node): Array[Array[Int]] = {
+    val stored = for {
+      n <- a.path.iterator if n.attrs.forall(a.attrs.contains)
+      key <- Iterator(n.attrs, n.keyAttrs, n.yAttrs) ++
+        n.children.iterator.flatMap(c => Iterator(c.keyAttrs, c.linkAttrs))
+      if Dict.isWide(key.length)
+    } yield key
+    stored.distinct.map(Tup.projIdx(a.attrs, _)).toArray
+  }
+
   for (n <- nodes) {
     def proj(in: Int, idx: Array[Int]): Proj = if (idx == null) null else new Proj(dict, in, idx)
     val arity = n.attrs.length
@@ -92,7 +107,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       n.filter = cq.atomFilters.getOrElse(n.atom.get.name, null)
       n.ids = new Array[Int](arity)
       n.tupP = proj(arity, Array.range(0, arity))
-      n.wideP = n.wideKeys.map(proj(arity, _))
+      n.wideP = wideKeys(n).map(proj(arity, _))
     }
     n.liveIdx = n.children.map(c => if (n.hasY && c.hasY) new LongObjMap[LongSet] else null)
     n.yP = proj(arity, n.yIdx)

@@ -116,13 +116,12 @@ final class Dict {
 
   /** Write the `m` ids of handle `h` to `out` at positions `pos`. */
   def unpack(h: Long, m: Int, out: Array[Int], pos: Array[Int]): Unit =
-    if (m == 1) out(pos(0)) = h.toInt
-    else if (m == 2) { out(pos(0)) = (h >>> 32).toInt; out(pos(1)) = h.toInt }
-    else if (m > 2) {
+    if (Dict.isWide(m)) {
       val ids = parts(h.toInt)
       var i = 0
       while (i < m) { out(pos(i)) = ids(i); i += 1 }
-    }
+    } else if (m == 1) out(pos(0)) = h.toInt
+    else if (m == 2) { out(pos(0)) = (h >>> 32).toInt; out(pos(1)) = h.toInt }
 
   private def newId(v: AnyRef, ids: Array[Int]): Int = {
     val id =
@@ -151,6 +150,9 @@ final class Dict {
 
 object Dict {
 
+  /** Whether a tuple of `arity` ids is a wide entry rather than packed. */
+  @inline def isWide(arity: Int): Boolean = arity > 2
+
   /** Pack two ids into one handle (a pair's first id in the high half). */
   @inline def pack(a: Int, b: Int): Long = (a.toLong << 32) | b.toLong
 
@@ -169,9 +171,8 @@ object Dict {
 }
 
 /** A projection onto positions `idx` of encoded tuples of arity `in`,
-  * compiled against `dict`. A projection onto 3 or more positions only
-  * looks its wide entry up: it gives -1, which no view holds, if there is
-  * none.
+  * compiled against `dict`. A wide projection ([[Dict.isWide]]) only looks
+  * its entry up: it gives -1, which no view holds, if there is none.
   */
 final class Proj(dict: Dict, in: Int, idx: Array[Int]) {
   private val n = idx.length
@@ -179,17 +180,17 @@ final class Proj(dict: Dict, in: Int, idx: Array[Int]) {
 
   /** The projection of handle `h`. */
   def apply(h: Long): Long =
-    if (in > 2) fromIds(dict.wideIds(h.toInt))
+    if (Dict.isWide(in)) fromIds(dict.wideIds(h.toInt))
     else if (n == 0) 0L
     else if (n == 1) Dict.part(h, in, idx(0)).toLong
     else Dict.pack(Dict.part(h, in, idx(0)), Dict.part(h, in, idx(1)))
 
   /** The projection of the tuple whose ids are `ids`. */
   def fromIds(ids: Array[Int]): Long =
-    if (n == 0) 0L
+    if (Dict.isWide(n)) dict.wideLookup(gather(ids))
+    else if (n == 0) 0L
     else if (n == 1) ids(idx(0)).toLong
-    else if (n == 2) Dict.pack(ids(idx(0)), ids(idx(1)))
-    else dict.wideLookup(gather(ids))
+    else Dict.pack(ids(idx(0)), ids(idx(1)))
 
   /** The projected ids of `ids`, in a buffer that the next call reuses. */
   def gather(ids: Array[Int]): Array[Int] = {

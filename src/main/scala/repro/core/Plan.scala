@@ -34,7 +34,6 @@ abstract class PlanNode[N <: PlanNode[N]](val id: Int, val attrs: Vector[String]
   var outKids: Array[N] = _                    // children whose subtree has any output attr
   var depth: Int = 0
   var path: Array[N] = _                       // leaf-to-root: this node first, root last
-  var wideKeys: Array[Array[Int]] = Array.empty // atoms: attrs -> each stored key of 3+ attrs
 }
 
 /** A generalized join tree for `cq` compiled once into linked nodes and
@@ -95,20 +94,6 @@ final class Plan[N <: PlanNode[N]](cq: CQ, tree: JTNode)(
         if (c.hasY) Tup.projIdx(n.yAttrs, c.linkAttrs) else null)
     n.enumKids = n.children.filter(c => (c.subtreeY -- n.attrs).nonEmpty)
     n.outKids = n.children.filter(_.subtreeY.nonEmpty)
-  }
-
-  // pass 3: the keys of three or more attributes that views store, which an
-  // encoded engine keeps as dictionary entries. A key stored at node n is a
-  // projection of a tuple of n, hence of a live base tuple of an atom below
-  // n whose attributes cover n's; each such atom lists the projection.
-  for (a <- nodes if !a.isGen) {
-    val stored = for {
-      n <- a.path.iterator if n.attrs.forall(a.attrs.contains)
-      key <- Iterator(n.attrs, n.keyAttrs, n.yAttrs) ++
-        n.children.iterator.flatMap(c => Iterator(c.keyAttrs, c.linkAttrs))
-      if key.length >= 3
-    } yield key
-    a.wideKeys = stored.distinct.map(Tup.projIdx(a.attrs, _)).toArray
   }
 
   private val byAtom: Map[String, N] =

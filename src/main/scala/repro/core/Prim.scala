@@ -50,6 +50,15 @@ abstract class LongTable(initialCapacity: Int) {
       -1
     }
 
+  final def contains(k: Long): Boolean = find(k) >= 0
+
+  /** Remove `k`; false if it was absent. */
+  final def remove(k: Long): Boolean = {
+    val s = find(k)
+    if (s >= 0) removeAt(s)
+    s >= 0
+  }
+
   /** The slot holding `k`, or `-(s + 1)` after claiming the free slot `s`
     * for it (the caller then writes its value there).
     */
@@ -142,15 +151,8 @@ abstract class LongTable(initialCapacity: Int) {
 
 /** A set of `Long`s. */
 final class LongSet(initialCapacity: Int = 4) extends LongTable(initialCapacity) {
-  def contains(k: Long): Boolean = find(k) >= 0
   /** Add `k`; false if it was present. */
   def add(k: Long): Boolean = claim(k) < 0
-  /** Remove `k`; false if it was absent. */
-  def remove(k: Long): Boolean = {
-    val s = find(k)
-    if (s >= 0) removeAt(s)
-    s >= 0
-  }
 }
 
 /** A map from `Long` to `Int` (counters). */
@@ -158,7 +160,6 @@ final class LongIntMap(initialCapacity: Int = 4) extends LongTable(initialCapaci
   private var vals = new Array[Int](initialCapacity + 1)
   private var old: Array[Int] = _
 
-  def contains(k: Long): Boolean = find(k) >= 0
   /** The value of `k`, or `default`. */
   def get(k: Long, default: Int): Int = {
     val s = find(k)
@@ -173,12 +174,6 @@ final class LongIntMap(initialCapacity: Int = 4) extends LongTable(initialCapaci
     val s = claim(k)
     if (s >= 0) { vals(s) += d; vals(s) }
     else { vals(-s - 1) = d; d }
-  }
-  /** Remove `k`; false if it was absent. */
-  def remove(k: Long): Boolean = {
-    val s = find(k)
-    if (s >= 0) removeAt(s)
-    s >= 0
   }
   def valueAt(s: Int): Int = vals(s)
 
@@ -207,12 +202,6 @@ final class LongObjMap[V <: AnyRef](initialCapacity: Int = 4) extends LongTable(
       vals(-s - 1) = v
       v
     }
-  }
-  /** Remove `k`; false if it was absent. */
-  def remove(k: Long): Boolean = {
-    val s = find(k)
-    if (s >= 0) removeAt(s)
-    s >= 0
   }
   def valueAt(s: Int): V = vals(s).asInstanceOf[V]
 
