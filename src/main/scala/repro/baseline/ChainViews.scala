@@ -66,6 +66,7 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
     opsAtUpdateStart = ops
     val j = atomPos.getOrElse(u.rel,
       throw new IllegalArgumentException(s"$name: unknown relation ${u.rel}"))
+    Tup.checkArity(u.rel, cq.atoms(j).attrs.length, u.t)
     if (cq.atomFilters.get(u.rel).exists(f => !f(u.t))) return 0L
     if (u.isInsert) { if (!base(j).add(u.t)) return 0L }
     else { if (!base(j).remove(u.t)) return 0L }

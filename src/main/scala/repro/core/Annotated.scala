@@ -153,6 +153,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
   /** Apply one base-table update. */
   def update(u: Upd): Unit = {
     val e = plan.atomNode(u.rel)
+    Tup.checkArity(u.rel, e.attrs.length, u.t)
     if (cq.atomFilters.get(u.rel).exists(f => !f(u.t))) return
     if (u.isInsert) {
       if (e.tuples.contains(u.t)) return

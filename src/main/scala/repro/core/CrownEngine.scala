@@ -20,15 +20,18 @@ import scala.collection.immutable.ArraySeq
   *     (§5.2), maintained from the enumerated deltas via Lemma 5.5.
   *
   * Updates run R-Update / S-Update / P-Update along the leaf-to-root path
-  * (Algorithms 2–4). Delta enumeration finds witness tuples (Def 5.6) on the
-  * projection-level view deltas and enumerates each `Q(D ⋉ t')` by joining
-  * the witness with the live views up the path and running FullEnum on the
-  * disjoint subtrees (Algorithm 6). Insertions enumerate on the post-update
-  * state with pre-update live views. Deletions run the mirrored cascade,
-  * whose counters drop at once, while the leaving tuples stay in the
-  * enumeration indexes until the delta has been enumerated with the dying
-  * projections excluded — the time-reversed mirror, realizing the disjoint
-  * union of Lemma 5.7.
+  * (Algorithms 2–4). Both enumeration modes run one program compiled per
+  * node: nested loops over hash-indexed views, one flat array of levels,
+  * run by one iterative loop. FullEnum (Algorithm 5) runs the root's
+  * program from each root projection. Delta enumeration runs a node's
+  * program from each of its changed projections: a witness (Def 5.6) joins
+  * the live views up the path, then FullEnum covers the disjoint subtrees
+  * (Algorithm 6). Insertions enumerate on the post-update state with
+  * pre-update live views. Deletions run the mirrored cascade, whose
+  * counters drop at once, while the leaving tuples stay in the enumeration
+  * indexes until the delta has been enumerated with the dying projections
+  * excluded — the time-reversed mirror, realizing the disjoint union of
+  * Lemma 5.7.
   *
   * Every tuple and key is an encoded `Long` handle ([[Dict]]) held in the
   * open-addressing tables of `Prim.scala`. An update encodes its tuple once,
@@ -63,7 +66,6 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     var linkUpP: Proj = _              // non-root, hasY
     var resP: Proj = _                 // result -> yAttrs
     var childKeyP: Array[Proj] = _
-    var childKeyFromYP: Array[Proj] = _
     var liveKeyP: Array[Proj] = _      // hasY
     // input nodes: the atom's filter (or null), the ids of the tuple being
     // updated, its handle and the wide keys its base tuples retain
@@ -117,7 +119,6 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       if (n.hasY) n.linkUpP = proj(yArity, n.linkUpIdx)
     }
     n.childKeyP = n.childKeyIdx.map(proj(arity, _))
-    n.childKeyFromYP = n.childKeyFromY.map(proj(yArity, _))
     if (n.hasY) n.liveKeyP = n.liveKeyIdx.map(proj(yArity, _))
   }
   for (n <- nodes; c <- n.enumKids) {
@@ -161,7 +162,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       val yp = e.yP(tt)
       if (e.projCnt.addTo(yp, 1) == 1) {
         d.projs += yp; d.projSet.add(yp)
-        if (e.isRoot) rootLiveAdd(yp)
+        if (e.isRoot) indexLive(root, yp)
       }
       if (e.mixed && !e.isRoot) e.projByKey.getOrElseUpdate(k, newCounts).addTo(yp, 1)
     }
@@ -227,7 +228,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       if (e.projCnt.addTo(yp, -1) == 0) {
         e.projCnt.remove(yp)
         d.projs += yp; d.projSet.add(yp)
-        if (e.isRoot) rootLiveRemove(yp)
+        if (e.isRoot) unindexLive(root, yp)
       }
     }
     if (!e.isRoot) {
@@ -324,6 +325,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   override def processUpdate(u: Upd)(emit: T => Unit): Long = {
     val node = plan.atomNode(u.rel)
+    Tup.checkArity(u.rel, node.attrs.length, u.t)
     if (node.filter != null && !node.filter(u.t)) return 0L // §7.2 selection
     if (u.isInsert) processInsert(node, u, emit) else processDelete(node, u, emit)
   }
@@ -378,207 +380,207 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // --------------------------------------------------------- enumeration
 
+  /** One level of an enumeration program: it looks `index` up by the key
+    * that `keyP` makes of the projection chosen at level `src`, and iterates
+    * the bucket found, skipping members of `excl` (if not null). Each member
+    * is a projection of `node` onto its output attributes.
+    */
+  private final class Level(val node: Node, val index: LongObjMap[_ <: LongTable],
+                            val src: Int, val keyP: Proj, val excl: LongSet)
+
+  /** Node `e`'s enumeration program, Algorithm 6 for a witness projection
+    * at level 0 (Algorithm 5 if `e` is the root): one live level for each
+    * ancestor up `e.path`, excluding the projections this update changed
+    * there (Def 5.6), then the preorder FullEnum levels below each node of
+    * the path, skipping the path's own child. Mixed nodes yield their
+    * counted distinct output projections; an all-output node's V_s tuple is
+    * its projection.
+    */
+  private def compileProgram(e: Node): Array[Level] = {
+    val levels = scala.collection.mutable.ArrayBuffer(new Level(e, null, -1, null, null))
+    val path = e.path
+    for (j <- 1 until path.length)
+      levels += new Level(path(j), path(j).liveIdx(path(j - 1).childPos), j - 1,
+        path(j - 1).linkUpP, nodeDeltas(path(j).id).projSet)
+    def below(n: Node, at: Int, skip: Node): Unit =
+      for (c <- n.enumKids if c ne skip) {
+        levels += new Level(c, if (c.mixed) c.projByKey else c.vsByKey, at,
+          new Proj(dict, n.yAttrs.length, n.childKeyFromY(c.childPos)), null)
+        below(c, levels.length - 1, null)
+      }
+    for (j <- path.indices) below(path(j), j, if (j == 0) null else path(j - 1))
+    levels.toArray
+  }
+
+  private val programs: Array[Array[Level]] = nodes.map(n => if (n.hasY) compileProgram(n) else null)
+  // per-level cursors, shared: runs never nest
+  private val depth = programs.iterator.filter(_ != null).map(_.length).max
+  private val chosen = new Array[Long](depth)
+  private val bucket = new Array[LongTable](depth)
+  private val cur = new Array[Int](depth)
+  private val noBucket = new LongSet
   private val slots = new Array[Int](y.length) // ids of the result being built
+
+  private val resultFilter: T => Boolean = cq.resultFilter.orNull
+  private var fullCb: T => Boolean = _ // set during enumerateFull
+  private var deltaEmit: T => Unit = _ // set during enumerateDeltas
+  private var deltaCount = 0L
+
+  /** Enumeration steps so far: level opens and slot reads, where the read
+    * that finds a level exhausted is its pop. Skipped empty slots are not
+    * counted.
+    */
+  private var steps = 0L
+  private var lastResultAt = 0L
+
+  /** The most steps the last `enumerateFull` took between two consecutive
+    * results, before its first or after its last.
+    */
+  private[core] var fullEnumMaxSteps = 0L
+
+  /** Levels of the root's program, the loop depth of `enumerateFull`. */
+  private[core] def fullEnumLevels: Int = programs(root.id).length
 
   @inline private def writeProj(e: Node, proj: Long): Unit =
     dict.unpack(proj, e.yOut.length, slots, e.yOut)
 
-  /** The result in `slots`, decoded. */
-  private def result(): T = {
-    val a = new Array[Any](slots.length)
-    var i = 0
-    while (i < a.length) { a(i) = dict.decode(slots(i)); i += 1 }
-    ArraySeq.unsafeWrapArray(a)
-  }
-
-  /** FullEnum (Algorithm 5) descent below node `c` given the join key from
-    * its parent. Mixed nodes yield their counted distinct output projections
-    * (and keep descending — the enumerability condition guarantees their
-    * child keys are output attributes, hence determined by the projection);
-    * all-output nodes iterate V_s tuples directly. Returns false if the
-    * callback stopped the enumeration.
+  /** Run `levels` from the projection `seed` at level 0, emitting every
+    * result reached; false if the callback stopped the enumeration.
     */
-  private def enumFromKey(c: Node, key: Long, cont: () => Boolean): Boolean = {
-    // all-output: a V_s tuple IS its projection
-    val t: LongTable = if (c.mixed) c.projByKey.get(key) else c.vsByKey.get(key)
-    if (t != null) {
-      var s = t.nextSlot(0)
-      while (s >= 0) {
-        val yp = t.keyAt(s)
-        writeProj(c, yp)
-        if (!descendY(c, yp, -1, cont)) return false
-        s = t.nextSlot(s + 1)
+  private def run(levels: Array[Level], seed: Long): Boolean = {
+    chosen(0) = seed
+    writeProj(levels(0).node, seed)
+    var k = 1
+    var open = true
+    while (k > 0) {
+      if (k == levels.length) {
+        if (!emitResult()) return false
+        k -= 1; open = false
+      } else {
+        val l = levels(k)
+        if (open) {
+          val found = l.index.get(l.keyP(chosen(l.src)))
+          bucket(k) = if (found == null) noBucket else found
+          cur(k) = -1
+          steps += 1
+        }
+        val b = bucket(k)
+        var s = b.nextSlot(cur(k) + 1)
+        steps += 1
+        if (l.excl != null)
+          while (s >= 0 && l.excl.contains(b.keyAt(s))) { s = b.nextSlot(s + 1); steps += 1 }
+        if (s < 0) { k -= 1; open = false }
+        else {
+          cur(k) = s
+          chosen(k) = b.keyAt(s)
+          writeProj(l.node, chosen(k))
+          k += 1; open = true
+        }
       }
     }
     true
   }
 
-  /** Nested-loop descent into `e`'s enumeration children from an output
-    * projection of `e` (skipping the child at `skipPos`, used by delta
-    * enumeration's subtree partition).
+  /** Decode the result in `slots` and pass it on: to `enumerateFull`'s
+    * callback, or to the update's `emit`, buffering its projections for the
+    * live views.
     */
-  private def descendY(e: Node, yp: Long, skipPos: Int, cont: () => Boolean): Boolean = {
-    def go(ki: Int): Boolean = {
-      if (ki == e.enumKids.length) cont()
-      else {
-        val c = e.enumKids(ki)
-        if (c.childPos == skipPos) go(ki + 1)
-        else enumFromKey(c, e.childKeyFromYP(c.childPos)(yp), () => go(ki + 1))
-      }
-    }
-    go(0)
-  }
-
-  override def enumerateFull(cb: T => Boolean): Unit = {
-    var go = true
-    val emitRes = () => {
-      val res = result()
-      if (cq.resultFilter.forall(_(res))) go = cb(res)
-      go
-    }
-    val roots = root.projCnt
-    var s = roots.nextSlot(0)
-    while (go && s >= 0) {
-      val p = roots.keyAt(s)
-      writeProj(root, p)
-      descendY(root, p, -1, emitRes)
-      s = roots.nextSlot(s + 1)
-    }
-  }
-
-  // ----------------------------------------------------- delta enumeration
-
-  /** Enumerate `ΔQ(D, t)` from the recorded per-node view deltas: root
-    * projections are witnesses outright (Corollary 5.2); a new/dead
-    * projection at a non-root node is a witness iff it joins the parent's
-    * live view, excluding projections changed by this very update (Def 5.6).
-    */
-  private def enumerateDeltas(e0: Node, emit: T => Unit): Long = {
-    val path = e0.path
-    var count = 0L
-    val emitRes = () => {
-      val res = result()
-      if (cq.resultFilter.forall(_(res))) {
-        emit(res); count += 1
-        var li = 0
-        while (li < liveNodes.length) {
-          val e = liveNodes(li)
-          liveBuf(e.id).add(e.resP.fromIds(slots))
-          li += 1
-        }
+  private def emitResult(): Boolean = {
+    val a = new Array[Any](slots.length)
+    var i = 0
+    while (i < a.length) { a(i) = dict.decode(slots(i)); i += 1 }
+    val res: T = ArraySeq.unsafeWrapArray(a)
+    if (resultFilter != null && !resultFilter(res)) true
+    else if (fullCb != null) {
+      fullEnumMaxSteps = math.max(fullEnumMaxSteps, steps - lastResultAt)
+      lastResultAt = steps
+      fullCb(res)
+    } else {
+      deltaEmit(res)
+      deltaCount += 1
+      i = 0
+      while (i < liveNodes.length) {
+        val e = liveNodes(i)
+        liveBuf(e.id).add(e.resP.fromIds(slots))
+        i += 1
       }
       true
     }
+  }
+
+  /** FullEnum (Algorithm 5): the root's program from each root projection.
+    *
+    * The delay is constant. Let L be the program's levels. Every bucket
+    * opened is non-empty, because the views are semi-join reduced: a tuple
+    * in V_s has each child key in that child's V_p, so each lookup finds a
+    * bucket with a member. After a result the loop pops d levels (one
+    * exhausting read each), reads the next slot of the level above (one
+    * step), and opens and reads the d levels below it again (two steps
+    * each): 3d + 1 ≤ 3L − 2 steps, counting the read of the next root
+    * projection as the level above when d = L − 1. Before the first result
+    * there are 1 + 2(L − 1) steps, after the last L. So no delay exceeds
+    * 3L − 2 steps, whatever the size of the database.
+    */
+  override def enumerateFull(cb: T => Boolean): Unit = {
+    val roots = root.projCnt
+    fullCb = cb
+    fullEnumMaxSteps = 0L
+    lastResultAt = steps
+    try {
+      var s = roots.nextSlot(0)
+      steps += 1
+      while (s >= 0 && run(programs(root.id), roots.keyAt(s))) { s = roots.nextSlot(s + 1); steps += 1 }
+      fullEnumMaxSteps = math.max(fullEnumMaxSteps, steps - lastResultAt)
+    } finally fullCb = null
+  }
+
+  /** Enumerate `ΔQ(D, t)`: each new or dead projection of an output-carrying
+    * node on the path runs that node's program. A root projection is a
+    * witness outright (Corollary 5.2); one below the root yields results
+    * only if it joins the live views above it (Def 5.6).
+    */
+  private def enumerateDeltas(e0: Node, emit: T => Unit): Long = {
+    val path = e0.path
+    deltaEmit = emit
+    deltaCount = 0L
     var i = 0
     while (i < path.length) {
       val e = path(i)
       if (e.hasY) {
         val d = nodeDeltas(e.id)
         var pi = 0
-        while (pi < d.projs.length) {
-          val p = d.projs(pi)
-          if (e.isRoot) {
-            writeProj(e, p)
-            descendY(e, p, -1, emitRes)
-          } else if (witnessJoinsParentLive(e, p)) {
-            enumWitness(path, i, p, emitRes)
-          }
-          pi += 1
-        }
+        while (pi < d.projs.length) { run(programs(e.id), d.projs(pi)); pi += 1 }
       }
       i += 1
     }
-    count
-  }
-
-  private def witnessJoinsParentLive(e: Node, p: Long): Boolean = {
-    val par = e.parent
-    val set = par.liveIdx(e.childPos).get(e.linkUpP(p))
-    if (set == null) false
-    else {
-      val excl = nodeDeltas(par.id).projSet
-      if (excl.isEmpty) set.nonEmpty
-      else {
-        var s = set.nextSlot(0)
-        while (s >= 0 && excl.contains(set.keyAt(s))) s = set.nextSlot(s + 1)
-        s >= 0
-      }
-    }
-  }
-
-  /** Algorithm 6 for one witness `p` at `path(i)`: join the witness with the
-    * (pre-update) live views up the path, then FullEnum the disjoint
-    * subtrees `T_{e_i}, T_{e_j} − T_{e_{j-1}}` and emit the combinations.
-    */
-  private def enumWitness(path: Array[Node], i: Int, p: Long, emitRes: () => Boolean): Unit = {
-    val chosen = new Array[Long](path.length)
-    chosen(i) = p
-    writeProj(path(i), p)
-
-    def parts(j: Int): Boolean = {
-      if (j == path.length) emitRes()
-      else {
-        val e = path(j)
-        val skip = if (j == i) -1 else path(j - 1).childPos
-        descendY(e, chosen(j), skip, () => parts(j + 1))
-      }
-    }
-
-    def sLevel(j: Int): Boolean = {
-      if (j == path.length) parts(i)
-      else {
-        val e = path(j)
-        val below = path(j - 1)
-        val set = e.liveIdx(below.childPos).get(below.linkUpP(chosen(j - 1)))
-        if (set == null) true
-        else {
-          val excl = nodeDeltas(e.id).projSet
-          var go = true
-          var s = set.nextSlot(0)
-          while (go && s >= 0) {
-            val l = set.keyAt(s)
-            if (!excl.contains(l)) {
-              chosen(j) = l
-              writeProj(e, l)
-              go = sLevel(j + 1)
-            }
-            s = set.nextSlot(s + 1)
-          }
-          go
-        }
-      }
-    }
-
-    sLevel(i + 1)
-    ()
+    deltaEmit = null
+    deltaCount
   }
 
   // ------------------------------------------------------------ live views
 
-  private def rootLiveAdd(yp: Long): Unit = {
+  /** Index live projection `p` of `e` under each output-carrying child. */
+  private def indexLive(e: Node, p: Long): Unit = {
     var i = 0
-    while (i < root.children.length) {
-      if (root.liveIdx(i) != null)
-        root.liveIdx(i).getOrElseUpdate(root.liveKeyP(i)(yp), newSet).add(yp)
+    while (i < e.children.length) {
+      if (e.liveIdx(i) != null) e.liveIdx(i).getOrElseUpdate(e.liveKeyP(i)(p), newSet).add(p)
       i += 1
     }
   }
 
-  private def rootLiveRemove(yp: Long): Unit = {
+  /** Remove live projection `p` of `e` from the index of each child. */
+  private def unindexLive(e: Node, p: Long): Unit = {
     var i = 0
-    while (i < root.children.length) {
-      if (root.liveIdx(i) != null) unindexLive(root, i, yp)
+    while (i < e.children.length) {
+      if (e.liveIdx(i) != null) {
+        val link = e.liveKeyP(i)(p)
+        val set = e.liveIdx(i).get(link)
+        if (set != null) {
+          set.remove(p)
+          if (set.isEmpty) e.liveIdx(i).remove(link)
+        }
+      }
       i += 1
-    }
-  }
-
-  /** Remove live projection `p` of `e` from the index of its child `i`. */
-  private def unindexLive(e: Node, i: Int, p: Long): Unit = {
-    val link = e.liveKeyP(i)(p)
-    val set = e.liveIdx(i).get(link)
-    if (set != null) {
-      set.remove(p)
-      if (set.isEmpty) e.liveIdx(i).remove(link)
     }
   }
 
@@ -594,14 +596,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       var s = buf.nextSlot(0)
       while (s >= 0) {
         val p = buf.keyAt(s)
-        if (e.live.add(p)) {
-          var i = 0
-          while (i < e.children.length) {
-            if (e.liveIdx(i) != null)
-              e.liveIdx(i).getOrElseUpdate(e.liveKeyP(i)(p), newSet).add(p)
-            i += 1
-          }
-        }
+        if (e.live.add(p)) indexLive(e, p)
         s = buf.nextSlot(s + 1)
       }
       li += 1
@@ -625,14 +620,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
             val set = e.parent.liveIdx(e.childPos).get(e.linkUpP(p))
             set != null && set.nonEmpty
           }
-          if (!surviving) {
-            e.live.remove(p)
-            var i = 0
-            while (i < e.children.length) {
-              if (e.liveIdx(i) != null) unindexLive(e, i, p)
-              i += 1
-            }
-          }
+          if (!surviving) { e.live.remove(p); unindexLive(e, p) }
         }
         s = buf.nextSlot(s + 1)
       }

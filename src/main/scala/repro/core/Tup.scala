@@ -21,6 +21,13 @@ object Tup {
   /** The empty tuple (projection onto zero attributes). */
   val empty: T = ArraySeq.empty[Any]
 
+  /** Raise an argument error, before any state changes, if a tuple `t` of
+    * relation `rel` does not have the relation's `arity`.
+    */
+  def checkArity(rel: String, arity: Int, t: T): Unit =
+    if (t.length != arity) throw new IllegalArgumentException(
+      s"relation $rel has arity $arity, but a tuple of arity ${t.length} was given: $t")
+
   /** Project `t` through a precompiled index array. */
   def proj(t: T, idx: Array[Int]): T = {
     val a = new Array[Any](idx.length)

@@ -38,6 +38,7 @@ final class TriangleView(role1: String, role2: String, role3: String) {
     * the same sign as the update. Ineffective updates return empty.
     */
   def update(role: String, t: T, isInsert: Boolean): Vector[T] = {
+    Tup.checkArity(role, 2, t)
     val out = Vector.newBuilder[T]
     role match {
       case `role1` => // t = (a,b): join E2(b,·) with E3(·,a)

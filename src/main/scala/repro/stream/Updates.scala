@@ -14,14 +14,21 @@ object Updates {
 
   /** FIFO sliding window (count-based, as for the paper's graph queries):
     * tuple i of `tuples` is inserted at time 2i and deleted at 2(i+w)-1,
-    * so the window holds at most w tuples and the sequence is FIFO.
+    * so the window holds at most w tuples and the sequence is FIFO. The
+    * updates come in time order: before the insert of tuple i, the delete
+    * of tuple i − w, then the deletes left after the last insert.
     */
   def fifoWindow(rel: String, tuples: Seq[T], w: Int): Vector[Upd] = {
-    val evs = tuples.zipWithIndex.flatMap { case (t, i) =>
-      Seq(Upd(rel, t, isInsert = true, ts = 2L * i),
-          Upd(rel, t, isInsert = false, ts = 2L * (i + w) - 1))
+    require(w >= 1, s"window size $w < 1")
+    val ts = tuples.toIndexedSeq
+    def delete(j: Int) = Upd(rel, ts(j), isInsert = false, ts = 2L * (j + w) - 1)
+    val out = Vector.newBuilder[Upd]
+    for (i <- ts.indices) {
+      if (i >= w) out += delete(i - w)
+      out += Upd(rel, ts(i), isInsert = true, ts = 2L * i)
     }
-    evs.sortBy(_.ts).toVector
+    for (j <- math.max(0, ts.length - w) until ts.length) out += delete(j)
+    out.result()
   }
 
   /** Insertion-only sequence (cash-register stream). */

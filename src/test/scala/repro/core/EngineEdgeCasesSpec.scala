@@ -85,6 +85,33 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
     }
   }
 
+  test("a tuple of the wrong arity raises and changes nothing") {
+    def wrongArity(run: Upd => Unit, rel: String, arity: Int, t: T): Unit =
+      for (ins <- Seq(true, false)) {
+        val err = intercept[IllegalArgumentException](run(Upd(rel, t, ins)))
+        assert(err.getMessage.contains(s"relation $rel has arity $arity") &&
+          err.getMessage.contains(s"tuple of arity ${t.length}"), err.getMessage)
+      }
+    forEachEngine(fig2full) { e =>
+      e.processUpdate(Upd("R1", Tup(1L, 2L), isInsert = true))(_ => ())
+      e.processUpdate(Upd("R2", Tup(2L, 3L), isInsert = true))(_ => ())
+      val (full, space) = (e.fullSet, e.spaceEntries)
+      for (t <- Seq(Tup(2L, 3L, 99L), Tup(2L)))
+        wrongArity(u => e.processUpdate(u)(_ => ()), "R2", 2, t)
+      assert(e.fullSet == full)
+      assert(e.spaceEntries == space)
+    }
+    // the GHD engine's triangle roles and ring-annotated CROWN check too
+    val bag = new repro.ghd.BagEngine(Queries.dumbbellFull(1000).output)
+    for ((rel, t) <- Seq("G1" -> Tup(1L, 2L, 3L), "G1" -> Tup(1L), "G4" -> Tup(1L)))
+      wrongArity(u => bag.processUpdate(u)(_ => ()), rel, 2, t)
+    assert(bag.spaceEntries == 0)
+    val annotated = new AnnotatedCrown[Long](fig2full, JoinTree.choose(fig2full).get, (_, _) => 1L)
+    wrongArity(annotated.update, "R1", 2, Tup(1L, 2L, 3L))
+    wrongArity(annotated.update, "R1", 2, Tup(1L))
+    assert(annotated.results().isEmpty)
+  }
+
   test("a baseline that exceeds its op budget mid-update refuses further use") {
     for (make <- Seq[CQ => IncrementalEngine](new StandardIvm(_, 1L), new Hivm(_, 1L))) {
       val e = make(fig2full)

@@ -53,6 +53,18 @@ class WorkloadSpec extends SparkSpec {
     }
   }
 
+  test("fifoWindow emits the time-sorted sequence of its inserts and deletes") {
+    for ((n, w) <- Seq((0, 1), (1, 1), (50, 10), (7, 3), (5, 5), (4, 9), (30, 1))) {
+      val tuples = (0 until n).map(i => repro.core.Tup(i.toLong, (i + 1).toLong))
+      val sorted = tuples.zipWithIndex.flatMap { case (t, i) =>
+        Seq(repro.core.Upd("G", t, isInsert = true, ts = 2L * i),
+            repro.core.Upd("G", t, isInsert = false, ts = 2L * (i + w) - 1))
+      }.sortBy(_.ts).toVector
+      assert(Updates.fifoWindow("G", tuples, w) == sorted, s"n=$n w=$w")
+    }
+    intercept[IllegalArgumentException](Updates.fifoWindow("G", Seq(repro.core.Tup(1L)), 0))
+  }
+
   test("expandSelfJoin replicates base updates to every atom copy in order") {
     val us = Vector(repro.core.Upd("G", repro.core.Tup(1L, 2L), isInsert = true, 0))
     val ex = Updates.expandSelfJoin(us, Map("G" -> Seq("G1", "G2", "G3")))
