@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Runners
 import repro.exp.Runners._
 
 /** Benchmark suites, one per paper exhibit (`sbt "bench/test"`).
@@ -16,7 +15,7 @@ import repro.exp.Runners._
   */
 class Table1FeaturesBench extends SparkSpec {
   test("Table 1: feature matrix of the compared engines") {
-    printTable("Table 1: engine features", table1Header, table1())
+    printTable(table1Table)
     val t = table1()
     assert(t.exists(r => r.head == "Delta enumeration" && r(1) == "yes" && r(2) == "no"))
     assert(t.exists(r => r.head == "Internal" && r(1) == "This paper"))
@@ -26,10 +25,7 @@ class Table1FeaturesBench extends SparkSpec {
 class Fig7ProcessingBench extends SparkSpec {
   test("Fig 7: total processing time, all queries x engines, delta & full modes") {
     val rows = fig7(spark)
-    printTable(fig7Title,
-      Seq("query", "engine", "mode", "ms", "deltas", "space", "status"),
-      rows.map(r => Seq(r.query, r.engine, r.mode, r.ms, r.deltas.toString,
-        r.space.toString, if (r.finished) "ok" else "DNF")))
+    printTable(fig7Table(rows))
 
     // Shape: CROWN finishes everything (the paper: only CROWN finishes all)
     val crown = rows.filter(_.engine == "CROWN")
@@ -57,10 +53,7 @@ class Fig7ProcessingBench extends SparkSpec {
 class Fig8ScaleBench extends SparkSpec {
   test("Fig 8: average processing time vs scale factor (SNB Q2)") {
     val rows = fig8(spark, sfs = Seq(0.5, 1.0, 2.0))
-    printTable("Fig 8: avg update time vs SF",
-      Seq("sf", "engine", "ms", "us/update", "status"),
-      rows.map { case (sf, r) => Seq(sf.toString, r.engine, r.ms,
-        f"${r.avgLatUs}%.1f", if (r.finished) "ok" else "DNF") })
+    printTable(fig8Table(rows))
     // Shape: CROWN's per-update cost stays ~flat across SF
     val crown = rows.filter(_._2.engine == "CROWN").sortBy(_._1)
     assert(crown.forall(_._2.finished))
@@ -74,11 +67,7 @@ class Fig8ScaleBench extends SparkSpec {
 class Fig9EnclosurenessBench extends SparkSpec {
   test("Fig 9: CROWN maintenance cost vs enclosureness lambda") {
     val rows = fig9(Seq(2, 4, 8, 16, 32, 64))
-    printTable("Fig 9: runtime vs lambda",
-      Seq("k", "lambda_T", "updates", "ms", "workOps", "ops/update"),
-      rows.map(r => Seq(r.target.toString, f"${r.lambdaT}%.2f", r.updates.toString,
-        f"${r.millis}%.1f", r.workOps.toString,
-        f"${r.workOps.toDouble / r.updates}%.1f")))
+    printTable(fig9Table(rows))
     // Shape: cost per update grows ~linearly with lambda
     val perUpd = rows.map(r => r.workOps.toDouble / r.updates)
     assert(perUpd.last > perUpd.head * 4,
@@ -91,11 +80,7 @@ class Fig9EnclosurenessBench extends SparkSpec {
 class Fig10ParallelBench extends SparkSpec {
   test("Fig 10: runtime vs parallelism (4-Hop over HyperCube shards)") {
     val stats = fig10(spark, ps = Seq(1, 2, 4, 8))
-    printTable("Fig 10: runtime vs p",
-      Seq("p", "makespan_ms", "wall_ms", "deltas", "speedup"),
-      stats.map(s => Seq(s.p.toString, f"${s.makespanMillis}%.0f",
-        f"${s.wallMillis}%.0f", s.totalDeltas.toString,
-        f"${stats.head.makespanMillis / s.makespanMillis}%.2f")))
+    printTable(fig10Table(stats))
     // Shape: all runs produce the same delta stream, and sharding helps
     assert(stats.map(_.totalDeltas).distinct.size == 1, "delta totals diverged")
     val speedup8 = stats.head.makespanMillis / stats.last.makespanMillis
@@ -106,11 +91,7 @@ class Fig10ParallelBench extends SparkSpec {
 class Fig11LatencyBench extends SparkSpec {
   test("Fig 11: per-update delta latency, CROWN vs Trill analog") {
     val rows = fig11(spark)
-    printTable("Fig 11: latency (insertion-only stream)",
-      Seq("engine", "avg_us", "p99_us", "q2_us", "q4_us", "drift"),
-      rows.map(r => Seq(r.engine, f"${r.avgLatUs}%.1f", f"${r.p99LatUs}%.1f",
-        f"${r.earlyAvgUs}%.1f", f"${r.lateAvgUs}%.1f",
-        f"${r.lateAvgUs / math.max(r.earlyAvgUs, 0.1)}%.2f")))
+    printTable(fig11Table(rows))
     val crown = rows.find(_.engine == "CROWN").get
     val trill = rows.find(_.engine.startsWith("Trill")).get
     // Shape: CROWN's latency is lower and stable; the standard-CP engine
@@ -132,15 +113,9 @@ class Fig11LatencyBench extends SparkSpec {
 class Fig12SelectivityBench extends SparkSpec {
   test("Fig 12: runtime vs selectivity of the last-hop filter") {
     val rows3 = fig12(spark, permilles = Seq(1, 10, 100, 500))
-    printTable("Fig 12(a): 3-hop full, runtime vs filter permille",
-      Seq("permille", "engine", "ms", "deltas", "status"),
-      rows3.map { case (pm, r) => Seq(pm.toString, r.engine, r.ms,
-        r.deltas.toString, if (r.finished) "ok" else "DNF") })
+    printTable(fig12Table(rows3, fourHop = false))
     val rows4 = fig12(spark, permilles = Seq(1, 100), fourHop = true)
-    printTable("Fig 12(b): 4-hop proj, runtime vs filter permille",
-      Seq("permille", "engine", "ms", "deltas", "status"),
-      rows4.map { case (pm, r) => Seq(pm.toString, r.engine, r.ms,
-        r.deltas.toString, if (r.finished) "ok" else "DNF") })
+    printTable(fig12Table(rows4, fourHop = true))
 
     // Shape: at low selectivity CROWN cost tracks input+output, while
     // standard CP still pays for the intermediate join view

@@ -11,6 +11,12 @@ package repro.core
   * an entry with key `0` (the packed empty projection) lives in one extra
   * slot at index `capacity`.
   *
+  * The capacity doubles when an insert would fill more than half of it. It
+  * halves, never below the initial capacity, when a removal leaves the
+  * table non-empty but under 1/8 full, or when `clear()` finds it under 1/8
+  * full, so iterating costs time in the live size, not the peak size. The
+  * gap between the two thresholds keeps the amortised cost of a resize O(1).
+  *
   * Iteration is by slot: `nextSlot(from)` is the first used slot at or
   * after `from`, or -1; `keyAt`/`valueAt` read it. A table must not be
   * changed while it is iterated.
@@ -73,7 +79,7 @@ abstract class LongTable(initialCapacity: Int) {
       val c = keys(i)
       if (c == k) return i
       if (c == 0L) {
-        if (2 * (count + 1) > capacity) { grow(); return claim(k) }
+        if (2 * (count + 1) > capacity) { resize(2 * capacity); return claim(k) }
         keys(i) = k; count += 1
         return -(i + 1)
       }
@@ -85,51 +91,65 @@ abstract class LongTable(initialCapacity: Int) {
   /** Remove the entry in slot `s`, shifting back the rest of its run. */
   protected final def removeAt(s: Int): Unit = {
     count -= 1
-    if (s == capacity) { hasZero = false; clearValue(s); return }
-    var gap = s
-    var i = (s + 1) & mask
-    while (keys(i) != 0L) {
-      val home = slot0(keys(i))
-      // the entry at i may fill the gap iff its home slot is not in (gap, i]
-      if (((i - home) & mask) >= ((i - gap) & mask)) {
-        keys(gap) = keys(i)
-        moveValue(i, gap)
-        gap = i
+    if (s == capacity) { hasZero = false; clearValue(s) }
+    else {
+      var gap = s
+      var i = (s + 1) & mask
+      while (keys(i) != 0L) {
+        val home = slot0(keys(i))
+        // the entry at i may fill the gap iff its home slot is not in (gap, i]
+        if (((i - home) & mask) >= ((i - gap) & mask)) {
+          keys(gap) = keys(i)
+          moveValue(i, gap)
+          gap = i
+        }
+        i = (i + 1) & mask
       }
-      i = (i + 1) & mask
+      keys(gap) = 0L
+      clearValue(gap)
     }
-    keys(gap) = 0L
-    clearValue(gap)
+    // an emptied table is kept as is: most are dropped by their owner
+    if (count != 0 && underfull) resize(capacity / 2)
   }
 
-  private def grow(): Unit = {
+  private def underfull: Boolean = 8 * count < capacity && capacity > initialCapacity
+
+  /** Move every entry into a fresh slot array of `newCap` slots. */
+  private def resize(newCap: Int): Unit = {
     val oldKeys = keys
     val oldCap = capacity
-    val oldZero = hasZero
-    keys = new Array[Long](2 * oldCap + 1)
-    mask = 2 * oldCap - 1
-    beginResize(2 * oldCap + 1)
-    var i = 0
-    while (i < oldCap) {
-      val k = oldKeys(i)
-      if (k != 0L) {
-        var j = slot0(k)
-        while (keys(j) != 0L) j = (j + 1) & mask
-        keys(j) = k
-        restoreValue(i, j)
+    keys = new Array[Long](newCap + 1)
+    mask = newCap - 1
+    beginResize(newCap + 1)
+    if (count != 0) {
+      var i = 0
+      while (i < oldCap) {
+        val k = oldKeys(i)
+        if (k != 0L) {
+          var j = slot0(k)
+          while (keys(j) != 0L) j = (j + 1) & mask
+          keys(j) = k
+          restoreValue(i, j)
+        }
+        i += 1
       }
-      i += 1
+      if (hasZero) restoreValue(oldCap, newCap)
     }
-    if (oldZero) restoreValue(oldCap, capacity)
     endResize()
   }
 
-  /** Remove every entry, keeping the capacity. */
+  /** Remove every entry; the capacity halves if the table was less than
+    * 1/8 full, so a buffer steps back down after one large use.
+    */
   final def clear(): Unit = if (count != 0) {
-    java.util.Arrays.fill(keys, 0L)
+    val shrink = underfull
     hasZero = false
     count = 0
-    clearValues()
+    if (shrink) resize(capacity / 2)
+    else {
+      java.util.Arrays.fill(keys, 0L)
+      clearValues()
+    }
   }
 
   final def nextSlot(from: Int): Int = {

@@ -7,10 +7,12 @@ import repro.ghd.BagEngine
 import repro.stream.{Driver, Hypercube, Updates}
 import repro.workload.{GraphData, Queries, SnbData}
 
-/** Experiment runners shared by the bench suites and the spark-submit jobs —
-  * one per paper exhibit (Table 1, Figs 7–12). Scales are chosen so the
-  * whole suite runs on one machine in minutes; override via env:
-  * REPRO_NV, REPRO_NE, REPRO_WINDOW, REPRO_BUDGET_MS, REPRO_SNB_SF.
+/** Experiment runners shared by the bench suites and the spark-submit entry
+  * `repro.jobs.Exhibit` — one per paper exhibit (Table 1, Figs 7–12), each
+  * with the one function that turns its result into its printed table(s).
+  * Scales are chosen so the whole suite runs on one machine in minutes;
+  * override via env: REPRO_NV, REPRO_NE, REPRO_WINDOW, REPRO_BUDGET_MS,
+  * REPRO_SNB_SF.
   */
 object Runners {
 
@@ -26,17 +28,24 @@ object Runners {
                        millis: Double, deltas: Long, space: Long,
                        avgLatUs: Double, finished: Boolean) {
     def ms: String = if (finished) f"$millis%.0f" else s"DNF(>${budgetMs}ms)"
+    def status: String = if (finished) "ok" else "DNF"
   }
 
-  def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    val all = header +: rows
-    val w = header.indices.map(i => all.map(_(i).length).max)
+  /** One printed table; every row has one cell per header column. */
+  final case class Table(title: String, header: Seq[String], rows: Seq[Seq[String]]) {
+    for (r <- rows) require(r.length == header.length,
+      s"$title: a row of ${r.length} cells under ${header.length} columns: $r")
+  }
+
+  def printTable(t: Table): Unit = {
+    val all = t.header +: t.rows
+    val w = t.header.indices.map(i => all.map(_(i).length).max)
     def line(r: Seq[String]) =
       r.zip(w).map { case (c, x) => c.padTo(x, ' ') }.mkString("| ", " | ", " |")
-    println("\n== " + title + " ==")
-    println(line(header))
+    println("\n== " + t.title + " ==")
+    println(line(t.header))
     println(w.map("-" * _).mkString("|-", "-|-", "-|"))
-    rows.foreach(r => println(line(r)))
+    t.rows.foreach(r => println(line(r)))
   }
 
   // ------------------------------------------------------ engine factory
@@ -101,8 +110,8 @@ object Runners {
     Seq("Updates", "Arbitrary", "FIFO", "Arbitrary", "Batch", "Arbitrary"),
     Seq("Internal", "This paper", "Standard CP", "HIVM", "HIVM", "Standard CP"))
 
-  val table1Header: Seq[String] =
-    Seq("", "CROWN", "Flink", "DBToaster", "DBToaster Spark", "Trill")
+  def table1Table: Table = Table("Table 1: engine features",
+    Seq("", "CROWN", "Flink", "DBToaster", "DBToaster Spark", "Trill"), table1())
 
   // -------------------------------------------------------------- Fig 7
 
@@ -124,11 +133,6 @@ object Runners {
     graph ++ dumb ++ snb :+ ((q4, false, snbStream(spark, q4, snbSf, windowDays = 90)))
   }
 
-  /** Fig 7's table title. Its Trill rows are relabelled copies of the Flink
-    * delta rows: Trill's analog is the same `StandardIvm` on the same stream.
-    */
-  val fig7Title = "Fig 7: processing time (Trill rows = Flink delta rows relabelled: same engine, same stream)"
-
   def fig7(spark: SparkSession): Seq[Row] = {
     val rows = for {
       (cq, isDumbbell, updates) <- fig7Queries(spark)
@@ -149,6 +153,15 @@ object Runners {
     }
   }
 
+  /** Its Trill rows are relabelled copies of the Flink delta rows: Trill's
+    * analog is the same `StandardIvm` on the same stream.
+    */
+  def fig7Table(rows: Seq[Row]): Table = Table(
+    "Fig 7: processing time (Trill rows = Flink delta rows relabelled: same engine, same stream)",
+    Seq("query", "engine", "mode", "ms", "deltas", "space", "status"),
+    rows.map(r => Seq(r.query, r.engine, r.mode, r.ms, r.deltas.toString, r.space.toString,
+      r.status)))
+
   // -------------------------------------------------------------- Fig 8
 
   def fig8(spark: SparkSession, sfs: Seq[Double] = Seq(0.25, 0.5, 1.0, 2.0)): Seq[(Double, Row)] = {
@@ -164,6 +177,11 @@ object Runners {
       (label, mk) <- engineFactories(cq, isDumbbell = false)
     } yield (sf, runOne(label, mk, cq, updates, "delta"))
   }
+
+  def fig8Table(rows: Seq[(Double, Row)]): Table = Table(
+    "Fig 8: avg update time vs scale factor (SNB Q2)",
+    Seq("sf", "engine", "ms", "us/update", "status"),
+    rows.map { case (sf, r) => Seq(sf.toString, r.engine, r.ms, f"${r.avgLatUs}%.1f", r.status) })
 
   // -------------------------------------------------------------- Fig 9
 
@@ -183,6 +201,12 @@ object Runners {
     }
   }
 
+  def fig9Table(rows: Seq[Fig9Row]): Table = Table(
+    "Fig 9: CROWN runtime vs enclosureness lambda_T",
+    Seq("k", "lambda_T", "updates", "ms", "workOps", "ops/update"),
+    rows.map(r => Seq(r.target.toString, f"${r.lambdaT}%.2f", r.updates.toString,
+      f"${r.millis}%.1f", r.workOps.toString, f"${r.workOps.toDouble / r.updates}%.1f")))
+
   // -------------------------------------------------------------- Fig 10
 
   def fig10(spark: SparkSession, ps: Seq[Int] = Seq(1, 2, 4, 8, 16)): Seq[Hypercube.ParStats] = {
@@ -191,6 +215,13 @@ object Runners {
     val updates = graphStream(spark, cq)
     ps.map(p => Hypercube.runParallel(spark, cq, tree, updates, p))
   }
+
+  /** `speedup` is the first row's makespan over each row's. */
+  def fig10Table(stats: Seq[Hypercube.ParStats]): Table = Table(
+    "Fig 10: runtime vs parallelism p (4-Hop over HyperCube shards)",
+    Seq("p", "makespan_ms", "wall_ms", "deltas", "speedup"),
+    stats.map(s => Seq(s.p.toString, f"${s.makespanMillis}%.0f", f"${s.wallMillis}%.0f",
+      s.totalDeltas.toString, f"${stats.head.makespanMillis / s.makespanMillis}%.2f")))
 
   // -------------------------------------------------------------- Fig 11
 
@@ -220,6 +251,14 @@ object Runners {
     }
   }
 
+  /** `drift` is the 4th quarter's average latency over the 2nd's. */
+  def fig11Table(rows: Seq[Fig11Row]): Table = Table(
+    "Fig 11: delta latency (insertion-only stream)",
+    Seq("engine", "avg_us", "p99_us", "q2_us", "q4_us", "drift"),
+    rows.map(r => Seq(r.engine, f"${r.avgLatUs}%.1f", f"${r.p99LatUs}%.1f",
+      f"${r.earlyAvgUs}%.1f", f"${r.lateAvgUs}%.1f",
+      f"${r.lateAvgUs / math.max(r.earlyAvgUs, 0.1)}%.2f")))
+
   // -------------------------------------------------------------- Fig 12
 
   def fig12(spark: SparkSession, permilles: Seq[Int] = Seq(1, 5, 20, 100, 200, 500),
@@ -230,4 +269,11 @@ object Runners {
       updates = graphStream(spark, cq)
       (label, mk) <- engineFactories(cq, isDumbbell = false)
     } yield (pm, runOne(label, mk, cq, updates, "delta"))
+
+  /** Fig 12(a) for the 3-hop rows of [[fig12]], 12(b) for its `fourHop` rows. */
+  def fig12Table(rows: Seq[(Int, Row)], fourHop: Boolean): Table = Table(
+    if (fourHop) "Fig 12(b): 4-hop proj, runtime vs filter permille"
+    else "Fig 12(a): 3-hop full, runtime vs filter permille",
+    Seq("permille", "engine", "ms", "deltas", "status"),
+    rows.map { case (pm, r) => Seq(pm.toString, r.engine, r.ms, r.deltas.toString, r.status) })
 }

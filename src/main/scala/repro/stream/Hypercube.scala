@@ -47,19 +47,18 @@ object Hypercube {
   final case class ParStats(p: Int, makespanMillis: Double, wallMillis: Double,
                             totalDeltas: Long, shards: Seq[ShardStats])
 
-  /** Run the sharded streams as one Spark job with `p` tasks. */
+  /** Run the sharded streams as one Spark job with `p` tasks, each shard
+    * through [[Driver.run]]; a shard's `space` is its peak space.
+    */
   def runParallel(spark: SparkSession, cq: CQ, tree: JTNode, updates: Seq[Upd],
                   p: Int): ParStats = {
     val shards = shard(cq, tree, updates, p)
     val rdd = spark.sparkContext.parallelize(shards.zipWithIndex.map(_.swap), p)
     val t0 = System.nanoTime()
     val stats = rdd.map { case (i, us) =>
-      val eng = new CrownEngine(cq, tree)
-      val s0 = System.nanoTime()
-      var deltas = 0L
-      us.foreach(u => deltas += eng.processUpdate(u)(_ => ()))
-      ShardStats(i, us.size.toLong, deltas, (System.nanoTime() - s0) / 1e6,
-        eng.spaceEntries)
+      // no time budget: a day is beyond any stream this runs
+      val st = Driver.run(new CrownEngine(cq, tree), us, budgetMillis = 24L * 3600 * 1000)
+      ShardStats(i, st.updates, st.deltas, st.millis, st.peakSpace)
     }.collect().toSeq
     val wall = (System.nanoTime() - t0) / 1e6
     ParStats(p, stats.map(_.millis).max, wall, stats.map(_.deltas).sum, stats)

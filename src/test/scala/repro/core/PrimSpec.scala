@@ -7,7 +7,7 @@ import scala.util.Random
 /** The open-addressing tables of `Prim.scala` against Scala's own
   * `mutable.HashSet`/`HashMap`, driven by the same seeded random operations:
   * every answer, the size and the iterated content must agree after every
-  * step.
+  * step, through growth and through the shrinking that follows a drain.
   */
 class PrimSpec extends AnyFunSuite {
 
@@ -20,6 +20,20 @@ class PrimSpec extends AnyFunSuite {
     case 2 => Long.MaxValue
     case 3 => -1L
     case _ => rnd.nextInt(40).toLong - 5
+  }
+
+  /** The random operations as (key, choice) pairs: 2000 over the small key
+    * domain, then a grow phase of mostly inserts over a wide domain, then a
+    * drain phase of mostly removals over it. A choice below 45 inserts and
+    * one in [45, 75) removes in every test below.
+    */
+  private def schedule(rnd: Random): Iterator[(Long, Int)] = {
+    def wide(): Long = if (rnd.nextInt(50) == 0) key(rnd) else rnd.nextInt(600).toLong * 7919L
+    def pick(insert: Boolean): Int =
+      if (insert == (rnd.nextInt(10) < 9)) rnd.nextInt(45) else 45 + rnd.nextInt(30)
+    Iterator.fill(2000)((key(rnd), rnd.nextInt(100))) ++
+      Iterator.fill(800)((wide(), pick(insert = true))) ++
+      Iterator.fill(1600)((wide(), pick(insert = false)))
   }
 
   private def slots(t: LongTable): Iterator[Int] =
@@ -36,10 +50,9 @@ class PrimSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val s = new LongSet(2)
       val ref = mutable.HashSet.empty[Long]
-      for (step <- 0 until 2000) {
-        val k = key(rnd)
+      for (((k, choice), step) <- schedule(rnd).zipWithIndex) {
         withClue(s"seed=$seed step=$step key=$k: ") {
-          rnd.nextInt(100) match {
+          choice match {
             case r if r < 45 => assert(s.add(k) == ref.add(k))
             case r if r < 80 => assert(s.remove(k) == ref.remove(k))
             case r if r < 99 => assert(s.contains(k) == ref.contains(k))
@@ -58,11 +71,10 @@ class PrimSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val m = new LongIntMap(2)
       val ref = mutable.HashMap.empty[Long, Int]
-      for (step <- 0 until 2000) {
-        val k = key(rnd)
+      for (((k, choice), step) <- schedule(rnd).zipWithIndex) {
         val v = rnd.nextInt(7) - 3
         withClue(s"seed=$seed step=$step key=$k: ") {
-          rnd.nextInt(100) match {
+          choice match {
             case r if r < 25 => m.put(k, v); ref(k) = v
             case r if r < 45 =>
               val sum = ref.getOrElse(k, 0) + v
@@ -86,11 +98,10 @@ class PrimSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val m = new LongObjMap[String](2)
       val ref = mutable.HashMap.empty[Long, String]
-      for (step <- 0 until 2000) {
-        val k = key(rnd)
+      for (((k, choice), step) <- schedule(rnd).zipWithIndex) {
         val v = rnd.nextInt(5).toString
         withClue(s"seed=$seed step=$step key=$k: ") {
-          rnd.nextInt(100) match {
+          choice match {
             case r if r < 45 => assert(m.getOrElseUpdate(k, () => v) == ref.getOrElseUpdate(k, v))
             case r if r < 75 => assert(m.remove(k) == ref.remove(k).isDefined)
             case r if r < 99 => assert(m.get(k) == ref.getOrElse(k, null))
@@ -144,5 +155,23 @@ class PrimSpec extends AnyFunSuite {
     assert(m.getOrElseUpdate(0L, () => "empty") == "empty")
     assert(m.getOrElseUpdate(0L, () => "other") == "empty")
     assert(slots(m).map(m.valueAt).toList == List("empty"))
+  }
+
+  test("a drained table shrinks with its size, and clear() steps a large buffer back down") {
+    val s = new LongSet
+    for (k <- 1L to 100000L) s.add(k)
+    assert(s.capacity >= 200000)
+    for (k <- 2L to 100000L) assert(s.remove(k))
+    assert(s.size == 1 && s.contains(1L) && keysOf(s) == Set(1L))
+    assert(s.capacity <= 8, s"capacity ${s.capacity} after draining to one entry")
+
+    val buf = new LongObjMap[String]
+    for (k <- 0L until 1000L) buf.getOrElseUpdate(k, () => "v")
+    val peak = buf.capacity
+    buf.clear()
+    buf.getOrElseUpdate(7L, () => "w")
+    assert(buf.capacity == peak, "a clear() of a full table keeps its capacity")
+    for (_ <- 1 to 20) { buf.clear(); buf.getOrElseUpdate(7L, () => "w") }
+    assert(buf.capacity <= 8 && buf.size == 1 && buf.get(7L) == "w" && buf.get(0L) == null)
   }
 }
