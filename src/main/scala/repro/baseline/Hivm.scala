@@ -1,8 +1,7 @@
 package repro.baseline
 
-import repro.core.{CQ, Tup}
+import repro.core.{CQ, LongIntMap, Proj, Tup}
 import repro.core.Tup.T
-import scala.collection.mutable
 
 /** Higher-order IVM in the DBToaster mold (§2, [4]): for a chain-shaped plan
   * over atoms `a_1..a_n`, materialize the prefix views
@@ -35,9 +34,10 @@ final class Hivm(cq: CQ, maxOpsPerUpdate: Long = Long.MaxValue)
   private val suf = new ChainViews(this, Vector.range(0, n).reverse, n - 1)
 
   /** `P_{j-1} ⋈ t ⋈ S_{j+1}` for an update `t` to atom `j`, compiled: the
-    * left side merges `P_{j-1}` with `t` (or is `t` alone for j = 0) and
-    * probes `S_{j+1}` (none for j = n - 1) on `key`; `sharedL` and `sharedR`
-    * are any further attributes the two sides must agree on.
+    * left side gathers the ids of a `P_{j-1}` tuple and of `t` (or is `t`
+    * alone for j = 0) and probes `S_{j+1}` (none for j = n - 1) on `key`;
+    * `sharedL` and `sharedR` are any further attributes the two sides must
+    * agree on. The left side stays an id array: it is only probed.
     */
   private final class Emission(j: Int) {
     private val atom = cq.atoms(j).attrs
@@ -48,46 +48,78 @@ final class Hivm(cq: CQ, maxOpsPerUpdate: Long = Long.MaxValue)
     val sufLevel: Int = n - 2 - j
     private val right = if (sufLevel >= 0) suf.attrs(sufLevel) else Vector.empty
     private val keyAttrs = if (sufLevel >= 0) suf.join(sufLevel + 1) else Vector.empty
-    val key: Array[Int] = Tup.projIdx(left, keyAttrs)
+    val key: Proj = new Proj(dict, left.length, Tup.projIdx(left, keyAttrs))
     private val shared = right.filter(a => left.contains(a) && !keyAttrs.contains(a))
     val sharedL: Array[Int] = Tup.projIdx(left, shared)
     val sharedR: Array[Int] = Tup.projIdx(right, shared)
     val outL: Array[Int] = cq.output.map(left.indexOf).toArray
     val outR: Array[Int] = cq.output.map(right.indexOf).toArray
+    // reused id buffers: a P_{j-1} tuple, the left side, an S_{j+1} tuple, a result
+    val prevIds = new Array[Int](prev.length)
+    val leftIds = new Array[Int](left.length)
+    val rightIds = new Array[Int](right.length)
+    val outIds = new Array[Int](cq.output.length)
   }
   private val emission = Array.tabulate(n)(new Emission(_))
+  /** The result delta of one update, summed by result tuple. */
+  private val outs = new LongIntMap(16)
 
-  override protected def propagate(j: Int, t: T, sign: Int, emit: T => Unit): Long = {
+  override protected def propagate(j: Int, t: Long, ids: Array[Int], sign: Int, emit: T => Unit): Long = {
     // 1. the result delta, read off the views before they change
     val e = emission(j)
-    val lefts = mutable.ArrayBuffer.empty[(T, Int)]
-    if (j == 0) lefts += ((t, 1))
+    if (j == 0) probe(e, ids, 1)
     else {
-      val b = pref.bucket(j - 1, Tup.proj(t, pref.keyOfAtom(j)))
-      if (b != null) b.foreachEntry { (v, c) =>
-        tick()
-        lefts += ((ChainViews.merge(e.leftFromPrev, e.leftFromAtom, v, t), c))
-      }
-    }
-    val outs = mutable.ArrayBuffer.empty[(T, Int)]
-    for ((lt, lc) <- lefts) {
-      if (e.sufLevel < 0) outs += ((Tup.proj(lt, e.outL), lc))
-      else {
-        val b = suf.bucket(e.sufLevel, Tup.proj(lt, e.key))
-        if (b != null) b.foreachEntry { (sv, sc) =>
+      val b = pref.bucket(j - 1, pref.keyOfAtom(j).fromIds(ids))
+      if (b != null) {
+        var s = b.nextSlot(0)
+        while (s >= 0) {
           tick()
-          var k = 0
-          while (k < e.sharedL.length && lt(e.sharedL(k)) == sv(e.sharedR(k))) k += 1
-          if (k == e.sharedL.length) outs += ((ChainViews.merge(e.outL, e.outR, lt, sv), lc * sc))
+          unpack(b.keyAt(s), e.prevIds)
+          probe(e, ids, b.valueAt(s))
+          s = b.nextSlot(s + 1)
         }
       }
     }
     var emitted = 0L
-    for ((out, c) <- ChainViews.collapse(outs)) emitted += addResult(out, c * sign, emit)
+    var s = outs.nextSlot(0)
+    while (s >= 0) {
+      if (outs.valueAt(s) != 0) emitted += addResult(outs.keyAt(s), outs.valueAt(s) * sign, emit)
+      s = outs.nextSlot(s + 1)
+    }
+    discard(outs, wideOut)
     // 2. maintain the delta views
-    pref.propagate(j, t, sign, emit)
-    suf.propagate(j, t, sign, emit)
+    pref.propagate(j, t, ids, sign, emit)
+    suf.propagate(j, t, ids, sign, emit)
     emitted
+  }
+
+  /** Join the left side made of `e.prevIds` and the updated tuple's `ids`,
+    * with `lc` derivations, to `S_{j+1}`, adding the results to `outs`.
+    */
+  private def probe(e: Emission, ids: Array[Int], lc: Int): Unit = {
+    val left = e.leftIds
+    ChainViews.gather(e.leftFromPrev, e.leftFromAtom, e.prevIds, ids, left)
+    if (e.sufLevel < 0) {
+      ChainViews.gather(e.outL, e.outR, left, e.rightIds, e.outIds)
+      addDelta(outs, wideOut, intern(e.outIds), lc)
+    } else {
+      val b = suf.bucket(e.sufLevel, e.key.fromIds(left))
+      if (b != null) {
+        val right = e.rightIds
+        var s = b.nextSlot(0)
+        while (s >= 0) {
+          tick()
+          unpack(b.keyAt(s), right)
+          var k = 0
+          while (k < e.sharedL.length && left(e.sharedL(k)) == right(e.sharedR(k))) k += 1
+          if (k == e.sharedL.length) {
+            ChainViews.gather(e.outL, e.outR, left, right, e.outIds)
+            addDelta(outs, wideOut, intern(e.outIds), lc * b.valueAt(s))
+          }
+          s = b.nextSlot(s + 1)
+        }
+      }
+    }
   }
 
   override protected def viewEntries: Long = pref.entries + suf.entries

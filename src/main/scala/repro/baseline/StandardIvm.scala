@@ -23,8 +23,8 @@ final class StandardIvm(cq: CQ, maxOpsPerUpdate: Long = Long.MaxValue)
 
   private val chain = new ChainViews(this, cq.atoms.indices.toVector, cq.atoms.size)
 
-  override protected def propagate(j: Int, t: T, sign: Int, emit: T => Unit): Long =
-    chain.propagate(j, t, sign, emit)
+  override protected def propagate(j: Int, t: Long, ids: Array[Int], sign: Int, emit: T => Unit): Long =
+    chain.propagate(j, t, ids, sign, emit)
 
   override protected def viewEntries: Long = chain.entries
 }

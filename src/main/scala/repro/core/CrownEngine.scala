@@ -483,28 +483,36 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   /** Decode the result in `slots` and pass it on: to `enumerateFull`'s
     * callback, or to the update's `emit`, buffering its projections for the
-    * live views.
+    * live views. A delta result that the query's result filter drops is
+    * buffered too: the live views are projections of the unfiltered join.
     */
   private def emitResult(): Boolean = {
     val a = new Array[Any](slots.length)
     var i = 0
     while (i < a.length) { a(i) = dict.decode(slots(i)); i += 1 }
     val res: T = ArraySeq.unsafeWrapArray(a)
-    if (resultFilter != null && !resultFilter(res)) true
-    else if (fullCb != null) {
+    if (resultFilter != null && !resultFilter(res)) {
+      if (fullCb == null) bufferLive()
+      true
+    } else if (fullCb != null) {
       fullEnumMaxSteps = math.max(fullEnumMaxSteps, steps - lastResultAt)
       lastResultAt = steps
       fullCb(res)
     } else {
       deltaEmit(res)
       deltaCount += 1
-      i = 0
-      while (i < liveNodes.length) {
-        val e = liveNodes(i)
-        liveBuf(e.id).add(e.resP.fromIds(slots))
-        i += 1
-      }
+      bufferLive()
       true
+    }
+  }
+
+  /** Buffer the projections of the delta result in `slots` for the live views. */
+  private def bufferLive(): Unit = {
+    var i = 0
+    while (i < liveNodes.length) {
+      val e = liveNodes(i)
+      liveBuf(e.id).add(e.resP.fromIds(slots))
+      i += 1
     }
   }
 

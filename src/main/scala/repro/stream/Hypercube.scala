@@ -41,8 +41,9 @@ object Hypercube {
   final case class ShardStats(shard: Int, updates: Long, deltas: Long, millis: Double,
                               space: Long)
 
-  /** Result of one parallel run: wall-clock time of the slowest shard (the
-    * makespan the paper's Fig 10 plots), plus per-shard stats.
+  /** Result of one parallel run: the slowest shard's time inside its task
+    * (the makespan; it leaves out any wait for a core), the wall-clock time
+    * of the whole job, and per-shard stats.
     */
   final case class ParStats(p: Int, makespanMillis: Double, wallMillis: Double,
                             totalDeltas: Long, shards: Seq[ShardStats])

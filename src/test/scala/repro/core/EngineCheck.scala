@@ -18,8 +18,43 @@ object EngineCheck {
   def dictEntries(e: IncrementalEngine): Long = e match {
     case c: CrownEngine => c.dictEntries
     case p: ProjectionAdapter => dictEntries(p.inner)
+    case g: GroupCountDistinctAdapter => dictEntries(g.inner)
     case b: repro.ghd.BagEngine => b.dictEntries
+    case c: repro.baseline.ChainEngine => c.dictEntries
     case _ => 0L
+  }
+
+  /** Feed `updates`, a stream that ends with every tuple deleted, to all
+    * `engines`: each must emit the same delta as the first after every
+    * update and hold the same full result every `fullEvery` updates; once
+    * the stream has drained, none may hold a result or a dictionary entry.
+    * Returns the number of deltas.
+    */
+  def agreeOnStream(engines: Seq[IncrementalEngine], updates: Seq[Upd], fullEvery: Int = 500): Long = {
+    var deltas = 0L
+    for ((u, i) <- updates.zipWithIndex) {
+      val got = engines.map { e =>
+        val d = mutable.Set.empty[T]
+        val n = e.processUpdate(u)(d += _)
+        assert(n == d.size, s"${e.name} emitted a duplicate at update $i ($u)")
+        d
+      }
+      for ((e, d) <- engines.zip(got).tail)
+        assert(d == got.head, s"${e.name} vs ${engines.head.name} at update $i ($u): " +
+          s"extra=${d -- got.head} missing=${got.head -- d}")
+      deltas += got.head.size
+      if (i % fullEvery == fullEvery - 1) {
+        val full = engines.map(_.fullSet)
+        for ((e, f) <- engines.zip(full).tail)
+          assert(f == full.head, s"${e.name} vs ${engines.head.name} full result after update $i: " +
+            s"extra=${f -- full.head} missing=${full.head -- f}")
+      }
+    }
+    assert(deltas > 100, s"the stream produced only $deltas deltas")
+    assert(engines.forall(_.fullSet.isEmpty), "the drained stream left results")
+    for (e <- engines)
+      assert(dictEntries(e) == 0, s"${e.name} kept dictionary entries after the stream drained")
+    deltas
   }
 
   def snapshot(db: mutable.Map[String, mutable.Set[T]]): Map[String, Set[T]] =

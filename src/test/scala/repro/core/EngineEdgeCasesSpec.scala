@@ -209,6 +209,25 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
     assert(e.fullSet == Set(Tup(1L, 2L, 5L)))
   }
 
+  test("a result the predicate drops still makes its projections live (SNB Q3)") {
+    val cq = Queries.snbQ3(1000)
+    forEachEngine(cq) { e =>
+      for (u <- Seq(Upd("knows1", Tup(71L, 17L), true), Upd("knows2", Tup(17L, 71L), true),
+                    Upd("message", Tup(1888L, 71L, null), true), Upd("message_tag", Tup(1888L, 0L), true),
+                    Upd("tag", Tup(0L, "t0"), true)))
+        e.processUpdate(u)(_ => ()) // the one result has a == c: dropped
+      assert(e.fullSet.isEmpty)
+      // knows2 (17, 71) joins only through the dropped result so far
+      val got = mutable.Set.empty[T]
+      e.processUpdate(Upd("knows1", Tup(0L, 17L), isInsert = true))(got += _)
+      assert(got == Set(Tup(0L, 17L, 71L, 0L, 1888L)))
+      assert(e.fullSet == got)
+      got.clear()
+      e.processUpdate(Upd("knows1", Tup(0L, 17L), isInsert = false))(got += _)
+      assert(got == Set(Tup(0L, 17L, 71L, 0L, 1888L)))
+    }
+  }
+
   test("workOps and spaceEntries are monotone during an insertion-only load") {
     val e = mk(Queries.hop3Full(1000))
     var lastOps = -1L
