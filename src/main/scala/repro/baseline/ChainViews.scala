@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{CQ, Dict, IncrementalEngine, LongIntMap, LongObjMap, LongSet, LongTable, Proj, Tup, Upd}
+import repro.core.{CQ, Dict, IncrementalEngine, LongIntAcc, LongIntMap, LongObjMap, LongSet, LongTable, Proj, Tup, Upd}
 import repro.core.Tup.T
 import scala.collection.immutable.ArraySeq
 
@@ -95,16 +95,17 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
   /** Add `c` to tuple `m` in the delta `delta`, in which each `wide` tuple
     * holds one reference: `m`'s own new one, unless it is there already.
     */
-  private[baseline] final def addDelta(delta: LongIntMap, wide: Boolean, m: Long, c: Int): Unit = {
-    if (wide && delta.contains(m)) dict.release(m.toInt)
+  private[baseline] final def addDelta(delta: LongIntAcc, wide: Boolean, m: Long, c: Int): Unit = {
+    val had = delta.size
     delta.addTo(m, c)
+    if (wide && delta.size == had) dict.release(m.toInt)
   }
 
   /** Empty `delta`, releasing its tuples if they are `wide`. */
-  private[baseline] final def discard(delta: LongIntMap, wide: Boolean): Unit = {
+  private[baseline] final def discard(delta: LongIntAcc, wide: Boolean): Unit = {
     if (wide) {
-      var s = delta.nextSlot(0)
-      while (s >= 0) { dict.release(delta.keyAt(s).toInt); s = delta.nextSlot(s + 1) }
+      var i = 0
+      while (i < delta.size) { dict.release(delta.keyAt(i).toInt); i += 1 }
     }
     delta.clear()
   }
@@ -196,8 +197,9 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
   *
   * Attribute names are looked up here, at construction only; propagation
   * gathers ids through the compiled index arrays. One update's tuples of a
-  * level are summed in a reused delta map as they are made; a wide one holds
-  * a reference there until the next level has been made from it. The base
+  * level are summed in a reused [[LongIntAcc]] as they are made, so a delta
+  * costs its own entries, not the largest delta's; a wide one holds a
+  * reference there until the next level has been made from it. The base
   * index holds the handles of the engine's base tuples, which hold their
   * own references.
   */
@@ -246,8 +248,8 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
   private val prevIds = Array.tabulate(n)(l => new Array[Int](if (l == 0) 0 else arity(l - 1)))
   private val atomIds = Array.tabulate(n)(l => new Array[Int](atomArity(l)))
   private val levelIds = Array.tabulate(n)(l => new Array[Int](arity(l)))
-  private var cur = new LongIntMap(16)
-  private var next = new LongIntMap(16)
+  private var cur = new LongIntAcc
+  private var next = new LongIntAcc
 
   /** Level `l`'s tuples whose join key with the next atom is `key`, or null. */
   def bucket(l: Int, key: Long): LongIntMap = index(l).get(key)
@@ -291,10 +293,10 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
         val p = keyOfPrev(l)
         val bi = baseIndex(l)
         val ids = atomIds(l)
-        var s = cur.nextSlot(0)
-        while (s >= 0) {
-          val m = cur.keyAt(s)
-          val c = cur.valueAt(s)
+        var i = 0
+        while (i < cur.size) {
+          val m = cur.keyAt(i)
+          val c = cur.valueAt(i)
           val b = bi.get(p(m))
           if (b != null) {
             var r = b.nextSlot(0)
@@ -305,20 +307,20 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
               r = b.nextSlot(r + 1)
             }
           }
-          s = cur.nextSlot(s + 1)
+          i += 1
         }
         engine.discard(cur, wideLevel(l - 1))
         val d = cur; cur = next; next = d
       }
-      var s = cur.nextSlot(0)
-      while (s >= 0) {
-        val m = cur.keyAt(s)
-        val c = cur.valueAt(s)
+      var i = 0
+      while (i < cur.size) {
+        val m = cur.keyAt(i)
+        val c = cur.valueAt(i)
         if (c != 0) {
           if (l < kept) { engine.tick(); add(l, m, c) }
           else emitted += engine.addResult(m, c, emit)
         }
-        s = cur.nextSlot(s + 1)
+        i += 1
       }
       l += 1
     }

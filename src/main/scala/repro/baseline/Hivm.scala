@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{CQ, LongIntMap, Proj, Tup}
+import repro.core.{CQ, LongIntAcc, Proj, Tup}
 import repro.core.Tup.T
 
 /** Higher-order IVM in the DBToaster mold (§2, [4]): for a chain-shaped plan
@@ -62,7 +62,7 @@ final class Hivm(cq: CQ, maxOpsPerUpdate: Long = Long.MaxValue)
   }
   private val emission = Array.tabulate(n)(new Emission(_))
   /** The result delta of one update, summed by result tuple. */
-  private val outs = new LongIntMap(16)
+  private val outs = new LongIntAcc
 
   override protected def propagate(j: Int, t: Long, ids: Array[Int], sign: Int, emit: T => Unit): Long = {
     // 1. the result delta, read off the views before they change
@@ -81,10 +81,10 @@ final class Hivm(cq: CQ, maxOpsPerUpdate: Long = Long.MaxValue)
       }
     }
     var emitted = 0L
-    var s = outs.nextSlot(0)
-    while (s >= 0) {
-      if (outs.valueAt(s) != 0) emitted += addResult(outs.keyAt(s), outs.valueAt(s) * sign, emit)
-      s = outs.nextSlot(s + 1)
+    var i = 0
+    while (i < outs.size) {
+      if (outs.valueAt(i) != 0) emitted += addResult(outs.keyAt(i), outs.valueAt(i) * sign, emit)
+      i += 1
     }
     discard(outs, wideOut)
     // 2. maintain the delta views

@@ -233,6 +233,106 @@ final class LongObjMap[V <: AnyRef](initialCapacity: Int = 4) extends LongTable(
   override protected def endResize(): Unit = old = null
 }
 
+/** Sums of `Int`s by `Long` key, for one update's deltas: a sparse set in
+  * the manner of Briggs & Torczon (1993). The entries sit in dense arrays in
+  * the order their keys were first added, and an open-addressing index of
+  * entry numbers finds a key's entry. Entry `i` is read with `keyAt(i)` and
+  * `valueAt(i)` for `i` in `0 until size`. An entry whose sum returns to 0 is
+  * kept until `clear()`.
+  *
+  * `clear()` zeroes only the index slots its entries used, and the capacity
+  * never shrinks: a buffer reused across updates of very different sizes
+  * costs each use its own entries, not the largest use's, and is never
+  * reallocated once it has grown to the largest.
+  */
+final class LongIntAcc(initialCapacity: Int = 16) {
+  require(initialCapacity >= 2 && Integer.bitCount(initialCapacity) == 1,
+    s"capacity $initialCapacity is not a power of two >= 2")
+
+  private var keys = new Array[Long](initialCapacity)
+  private var vals = new Array[Int](initialCapacity)
+  // the index slot of each entry, so that clear() finds it without a probe
+  private var slots = new Array[Int](initialCapacity)
+  private var n = 0
+  // index(s) is 1 + the entry number whose key's probe ends at slot s, or 0
+  private var index = new Array[Int](2 * initialCapacity)
+  private var mask = index.length - 1
+
+  def size: Int = n
+  def isEmpty: Boolean = n == 0
+  def nonEmpty: Boolean = n != 0
+  def keyAt(i: Int): Long = keys(i)
+  def valueAt(i: Int): Int = vals(i)
+  /** Index slots; at least twice the most entries held at once. */
+  private[core] def capacity: Int = mask + 1
+
+  @inline private def slot0(k: Long): Int = {
+    val h = k * 0x9E3779B97F4A7C15L
+    (h ^ (h >>> 32) ^ (h >>> 16)).toInt & mask
+  }
+
+  /** The entry number of `k`, or `-(s + 1)` where `s` is the free slot that
+    * ends its probe.
+    */
+  private def probe(k: Long): Int = {
+    var s = slot0(k)
+    while (true) {
+      val e = index(s)
+      if (e == 0) return -(s + 1)
+      if (keys(e - 1) == k) return e - 1
+      s = (s + 1) & mask
+    }
+    -1
+  }
+
+  /** Make `k` entry `n` with sum `v`, in the free slot `s`. */
+  private def append(k: Long, v: Int, s: Int): Unit = {
+    if (n == keys.length) {
+      keys = java.util.Arrays.copyOf(keys, 2 * n)
+      vals = java.util.Arrays.copyOf(vals, 2 * n)
+      slots = java.util.Arrays.copyOf(slots, 2 * n)
+    }
+    keys(n) = k; vals(n) = v; slots(n) = s; index(s) = n + 1
+    n += 1
+    if (2 * n > capacity) rehash(2 * capacity)
+  }
+
+  private def rehash(newCap: Int): Unit = {
+    index = new Array[Int](newCap)
+    mask = newCap - 1
+    var i = 0
+    while (i < n) {
+      var s = slot0(keys(i))
+      while (index(s) != 0) s = (s + 1) & mask
+      index(s) = i + 1; slots(i) = s
+      i += 1
+    }
+  }
+
+  def contains(k: Long): Boolean = probe(k) >= 0
+
+  /** Add `k` with sum 0 if absent; false if it was present. */
+  def add(k: Long): Boolean = {
+    val e = probe(k)
+    if (e < 0) append(k, 0, -e - 1)
+    e < 0
+  }
+
+  /** Add `d` to the sum of `k` (0 if absent) and return the new sum. */
+  def addTo(k: Long, d: Int): Int = {
+    val e = probe(k)
+    if (e >= 0) { vals(e) += d; vals(e) }
+    else { append(k, d, -e - 1); d }
+  }
+
+  /** Remove every entry, keeping the capacity. */
+  def clear(): Unit = {
+    var i = 0
+    while (i < n) { index(slots(i)) = 0; i += 1 }
+    n = 0
+  }
+}
+
 /** A growable buffer of `Long`s (the per-update delta lists). */
 final class LongBuf {
   private var a = new Array[Long](8)

@@ -5,7 +5,8 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** The open-addressing tables of `Prim.scala` against Scala's own
-  * `mutable.HashSet`/`HashMap`, driven by the same seeded random operations:
+  * `mutable.HashSet`/`HashMap`, and the delta accumulator against
+  * `mutable.LinkedHashMap`, driven by the same seeded random operations:
   * every answer, the size and the iterated content must agree after every
   * step, through growth and through the shrinking that follows a drain.
   */
@@ -25,7 +26,8 @@ class PrimSpec extends AnyFunSuite {
   /** The random operations as (key, choice) pairs: 2000 over the small key
     * domain, then a grow phase of mostly inserts over a wide domain, then a
     * drain phase of mostly removals over it. A choice below 45 inserts and
-    * one in [45, 75) removes in every test below.
+    * one in [45, 75) removes in every test below (the accumulator, which has
+    * no removal, adds and looks up there instead).
     */
   private def schedule(rnd: Random): Iterator[(Long, Int)] = {
     def wide(): Long = if (rnd.nextInt(50) == 0) key(rnd) else rnd.nextInt(600).toLong * 7919L
@@ -63,6 +65,83 @@ class PrimSpec extends AnyFunSuite {
           assert(keysOf(s) == ref)
         }
       }
+    }
+  }
+
+  /** The entries of `a` in iteration order. */
+  private def entriesOf(a: LongIntAcc): Vector[(Long, Int)] =
+    Vector.tabulate(a.size)(i => a.keyAt(i) -> a.valueAt(i))
+
+  test("LongIntAcc agrees with mutable.LinkedHashMap on random sums, adds, lookups and clears") {
+    for (seed <- 1 to 20) {
+      val rnd = new Random(seed)
+      val a = new LongIntAcc(2)
+      val ref = mutable.LinkedHashMap.empty[Long, Int]
+      for (((k, choice), step) <- schedule(rnd).zipWithIndex) {
+        val d = rnd.nextInt(7) - 3
+        withClue(s"seed=$seed step=$step key=$k: ") {
+          choice match {
+            case r if r < 45 =>
+              val sum = ref.getOrElse(k, 0) + d
+              ref(k) = sum
+              assert(a.addTo(k, d) == sum)
+            case r if r < 60 =>
+              val added = !ref.contains(k)
+              if (added) ref(k) = 0
+              assert(a.add(k) == added)
+            case r if r < 98 => assert(a.contains(k) == ref.contains(k))
+            case _ => a.clear(); ref.clear()
+          }
+          assert(a.size == ref.size)
+          assert(a.isEmpty == ref.isEmpty)
+          // insertion order, and entries whose sum is back at 0 kept
+          assert(entriesOf(a) == ref.toVector)
+        }
+      }
+    }
+  }
+
+  test("LongIntAcc keeps key 0 and the extreme keys apart from the empty slot") {
+    val a = new LongIntAcc(2)
+    val ks = Vector(0L, Long.MinValue, Long.MaxValue, -1L, 1L)
+    for (k <- ks) assert(!a.contains(k))
+    for ((k, i) <- ks.zipWithIndex) assert(a.addTo(k, i + 1) == i + 1)
+    for ((k, i) <- ks.zipWithIndex) assert(a.addTo(k, 10) == i + 11)
+    assert(!a.add(0L) && !a.add(Long.MinValue))
+    assert(entriesOf(a) == ks.zipWithIndex.map { case (k, i) => k -> (i + 11) })
+    a.clear()
+    for (k <- ks) assert(!a.contains(k))
+    assert(a.add(Long.MaxValue) && a.add(0L))
+    assert(entriesOf(a) == Vector(Long.MaxValue -> 0, 0L -> 0))
+  }
+
+  test("LongIntAcc grows through several rehashes and keeps every sum and the order") {
+    val a = new LongIntAcc(2)
+    val ks = (1 to 5000).map(i => i.toLong * 1000003L - 2500000000L)
+    val caps = mutable.LinkedHashSet(a.capacity)
+    for ((k, i) <- ks.zipWithIndex) { assert(a.addTo(k, i) == i); caps += a.capacity }
+    assert(caps.size >= 10, s"capacities $caps")
+    assert(a.capacity >= 2 * ks.size)
+    for ((k, i) <- ks.zipWithIndex) assert(a.addTo(k, 1) == i + 1)
+    assert(entriesOf(a) == ks.zipWithIndex.map { case (k, i) => k -> (i + 1) })
+  }
+
+  test("LongIntAcc keeps its capacity after a large use, and a small use visits only its entries") {
+    val a = new LongIntAcc
+    for (k <- 1L to 100000L) a.addTo(k, 1)
+    assert(a.size == 100000)
+    val peak = a.capacity
+    assert(peak >= 200000)
+    a.clear()
+    assert(a.isEmpty && a.capacity == peak)
+    for (k <- 1L to 100000L by 997L) assert(!a.contains(k))
+    for (round <- 1 to 20) {
+      val k = round * 7919L
+      assert(a.addTo(k, round) == round)
+      assert(a.size == 1 && entriesOf(a) == Vector(k -> round))
+      assert(a.capacity == peak, "a clear() never shrinks the accumulator")
+      a.clear()
+      assert(a.isEmpty && !a.contains(k))
     }
   }
 

@@ -37,6 +37,28 @@ class StreamingSpec extends SparkSpec {
     assert(engine.fullSet == serialFull)
   }
 
+  test("a replayed micro-batch id is skipped: engine state and deltas are unchanged") {
+    val base = Updates.fifoWindow("G", edges, w = 300)
+    val rows = base.map(u => Structured.EdgeUpd(if (u.isInsert) 1 else 0,
+      u.t(0).asInstanceOf[Long], u.t(1).asInstanceOf[Long], u.ts)).toArray
+    val (first, rest) = rows.splitAt(rows.length / 2)
+    val engine = Compiler.compile(cq)
+    val sink = new Structured.BatchSink(engine, copies)
+    sink(0L, first)
+    val (full, space, deltas, updates) = (engine.fullSet, engine.spaceEntries, sink.deltas, sink.updates)
+    assert(deltas > 0 && updates == first.length.toLong * copies.size)
+    var collected = false
+    sink(0L, { collected = true; first })
+    assert(!collected, "a replayed batch's rows were collected")
+    assert(engine.fullSet == full && engine.spaceEntries == space)
+    assert(sink.deltas == deltas && sink.updates == updates)
+    assert(sink.batches == 1 && sink.replayed == 1)
+    sink(1L, rest)
+    val (serialDeltas, serialFull) = serialRun(Updates.expandSelfJoin(base, Map("G" -> copies)))
+    assert(sink.deltas == serialDeltas && engine.fullSet == serialFull)
+    assert(sink.batches == 2 && sink.replayed == 1)
+  }
+
   test("HyperCube sharding: shard outputs are disjoint and union to the serial result") {
     val tree = JoinTree.choose(cq).get
     val base = Updates.fifoWindow("G", edges, w = 300)
