@@ -144,22 +144,12 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
     Tup.checkArity(u.rel, ids.length, u.t)
     if (filters(j) != null && !filters(j)(u.t)) return 0L
     // look the values up first: an unsupported one is refused before any change
-    var known = true
-    var i = 0
-    while (i < ids.length) {
-      ids(i) = dict.lookup(u.t(i), u.rel)
-      if (ids(i) < 0) known = false
-      i += 1
-    }
+    val known = dict.lookupAll(u.t, u.rel, ids)
     val wide = Dict.isWide(ids.length)
     val t = if (!known) -1L else if (wide) dict.wideLookup(ids).toLong else ChainViews.pack(ids)
     if (u.isInsert) {
       if (t >= 0 && base(j).contains(t)) return 0L
-      i = 0
-      while (i < ids.length) {
-        if (ids(i) >= 0) dict.retain(ids(i)) else ids(i) = dict.acquire(u.t(i), u.rel)
-        i += 1
-      }
+      dict.acquireAll(u.t, u.rel, ids)
       val h = intern(ids)
       base(j).add(h)
       propagate(j, h, ids, 1, emit)
@@ -167,8 +157,7 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
       if (t < 0 || !base(j).remove(t)) return 0L
       val n = propagate(j, t, ids, -1, emit)
       if (wide) dict.release(t.toInt)
-      i = 0
-      while (i < ids.length) { dict.release(ids(i)); i += 1 }
+      dict.releaseAll(ids)
       n
     }
   }

@@ -26,12 +26,13 @@ import scala.collection.immutable.ArraySeq
   * program from each root projection. Delta enumeration runs a node's
   * program from each of its changed projections: a witness (Def 5.6) joins
   * the live views up the path, then FullEnum covers the disjoint subtrees
-  * (Algorithm 6). Insertions enumerate on the post-update state with
-  * pre-update live views. Deletions run the mirrored cascade, whose
-  * counters drop at once, while the leaving tuples stay in the enumeration
-  * indexes until the delta has been enumerated with the dying projections
-  * excluded — the time-reversed mirror, realizing the disjoint union of
-  * Lemma 5.7.
+  * (Algorithm 6). Insertions and deletions run one cascade, signed by the
+  * update: every counter moves by ±1, and a view entry flips where its
+  * count crosses between 0 and 1. Insertions enumerate on the post-update
+  * state with pre-update live views. A deletion's counters drop at once,
+  * but its leaving tuples stay in the enumeration indexes until the delta
+  * has been enumerated with the dying projections excluded, and are
+  * dropped only then — realizing the disjoint union of Lemma 5.7.
   *
   * Every tuple and key is an encoded `Long` handle ([[Dict]]) held in the
   * open-addressing tables of `Prim.scala`. An update encodes its tuple once,
@@ -152,104 +153,92 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // --------------------------------------------------------- propagation
 
-  /** Insert-side S-Update/P-Update cascade: `tt` just entered `V_s(e)`. */
-  private def enterVs(e: Node, tt: Long): Unit = {
-    val d = nodeDeltas(e.id)
-    d.vsTuples += tt
-    ops += 1
-    val k = if (e.isRoot) 0L else e.keyP(tt)
-    if (e.hasY) {
-      val yp = e.yP(tt)
-      if (e.projCnt.addTo(yp, 1) == 1) {
-        d.projs += yp; d.projSet.add(yp)
-        if (e.isRoot) indexLive(root, yp)
-      }
-      if (e.mixed && !e.isRoot) e.projByKey.getOrElseUpdate(k, newCounts).addTo(yp, 1)
-    }
-    if (!e.isRoot) {
-      e.vsByKey.getOrElseUpdate(k, newSet).add(tt)
-      if (e.vp.addTo(k, 1) == 1) pUpdateInsert(e.parent, e, k)
-    }
-  }
-
-  /** Insert-side P-Update (Algorithm 3): key `k` entered `V_p(child)`. */
-  private def pUpdateInsert(p: Node, child: Node, k: Long): Unit = {
-    val full = p.children.length
-    if (p.isGen) {
-      ops += 1
-      if (p.tuples.addTo(k, 1) == full) enterVs(p, k)
-    } else {
-      val set = p.childIdx(child.childPos).get(k)
-      if (set != null) {
-        var s = set.nextSlot(0)
-        while (s >= 0) {
-          val tt = set.keyAt(s)
-          ops += 1
-          if (p.tuples.addTo(tt, 1) == full) enterVs(p, tt)
-          s = set.nextSlot(s + 1)
-        }
-      }
-    }
-  }
-
-  private def processInsert(e0: Node, u: Upd, emit: T => Unit): Long = {
-    if (lookupIds(e0, u) && e0.tuples.contains(e0.tupP.fromIds(e0.ids)))
-      return 0L // ineffective under set semantics
-    retain(e0, u)
+  override def processUpdate(u: Upd)(emit: T => Unit): Long = {
+    val e0 = plan.atomNode(u.rel)
+    Tup.checkArity(u.rel, e0.attrs.length, u.t)
+    if (e0.filter != null && !e0.filter(u.t)) return 0L // §7.2 selection
     val ids = e0.ids
-    val t0 = e0.tupP.fromIds(ids)
+    val known = dict.lookupAll(u.t, u.rel, ids)
+    if ((known && e0.tuples.contains(e0.tupP.fromIds(ids))) == u.isInsert)
+      return 0L // ineffective under set semantics
+    val sign = if (u.isInsert) 1 else -1
+    if (sign > 0) retain(e0, u)
     clearBuffers(e0)
-    // R-Update (Algorithm 4)
+    rUpdate(e0, e0.tupP.fromIds(ids), sign)
+    val n = enumerateDeltas(e0, emit) // a deletion's leaving tuples are still indexed
+    if (sign > 0) applyLiveInserts()
+    else {
+      dropLeftVs(e0)
+      applyLiveDeletes()
+      release(e0) // the deleted tuple's values and wide keys, now unused
+    }
+    n
+  }
+
+  /** R-Update (Algorithm 4): the base tuple `t0`, whose ids are in
+    * `e0.ids`, enters (`sign` = 1) or leaves (-1) `e0`'s relation.
+    */
+  private def rUpdate(e0: Node, t0: Long, sign: Int): Unit = {
+    // the children's V_p do not move before shiftVs, so on a deletion
+    // `count` is the counter the tuple had
     var count = 0
     var i = 0
     while (i < e0.children.length) {
-      val k = e0.childKeyP(i).fromIds(ids)
-      e0.childIdx(i).getOrElseUpdate(k, newSet).add(t0)
+      val k = e0.childKeyP(i).fromIds(e0.ids)
+      shiftIndex(e0.childIdx(i), k, t0, sign)
       if (e0.children(i).vp.contains(k)) count += 1
       ops += 1
       i += 1
     }
-    e0.tuples.put(t0, count)
-    if (count == e0.children.length) enterVs(e0, t0)
-    val n = enumerateDeltas(e0, emit)
-    applyLiveInserts()
-    n
+    if (sign > 0) e0.tuples.put(t0, count) else e0.tuples.remove(t0)
+    if (count == e0.children.length) shiftVs(e0, t0, sign)
   }
 
-  /** Delete-side S-Update/P-Update cascade: `tt` just left `V_s(e)`. Counters
-    * drop at once; `vsByKey` and `projByKey` keep `tt` until the delta has
-    * been enumerated ([[dropLeftVs]]).
+  /** S-Update/P-Update cascade (Algorithms 2–3): `tt` entered (`sign` = 1)
+    * or left (`sign` = -1) `V_s(e)`. A projection or key enters its view at
+    * count 1 and leaves it at 0. On a deletion the counters drop at once,
+    * while `vsByKey` and `projByKey` keep `tt` until the delta has been
+    * enumerated ([[dropLeftVs]]).
     */
-  private def leaveVs(e: Node, tt: Long): Unit = {
+  private def shiftVs(e: Node, tt: Long, sign: Int): Unit = {
     val d = nodeDeltas(e.id)
     d.vsTuples += tt
+    if (sign > 0) ops += 1 // S-Update work is counted on insertions only
+    val k = if (e.isRoot) 0L else e.keyP(tt)
     if (e.hasY) {
       val yp = e.yP(tt)
-      if (e.projCnt.addTo(yp, -1) == 0) {
-        e.projCnt.remove(yp)
+      if (shiftCount(e.projCnt, yp, sign)) {
         d.projs += yp; d.projSet.add(yp)
-        if (e.isRoot) unindexLive(root, yp)
+        if (e.isRoot) shiftLive(root, yp, sign)
       }
+      if (sign > 0 && e.mixed && !e.isRoot) e.projByKey.getOrElseUpdate(k, newCounts).addTo(yp, 1)
     }
     if (!e.isRoot) {
-      val k = e.keyP(tt)
-      if (e.vp.addTo(k, -1) == 0) {
-        e.vp.remove(k)
-        pUpdateDelete(e.parent, e, k)
-      }
+      if (sign > 0) e.vsByKey.getOrElseUpdate(k, newSet).add(tt)
+      if (shiftCount(e.vp, k, sign)) pUpdate(e.parent, e, k, sign)
     }
   }
 
-  /** Delete-side P-Update (Algorithm 3): key `k` left `V_p(child)`. A parent
-    * tuple leaves `V_s` if its counter was full; a generated tuple whose
+  /** Move `k`'s count in `m` by `sign`; true if `k` entered `m` (count 1)
+    * or left it (count 0, and then it is removed).
+    */
+  private def shiftCount(m: LongIntMap, k: Long, sign: Int): Boolean = {
+    val c = m.addTo(k, sign)
+    if (c == 0) m.remove(k)
+    c == 0 || c == sign
+  }
+
+  /** P-Update (Algorithm 3): key `k` entered (`sign` = 1) or left (-1)
+    * `V_p(child)`. A parent tuple enters `V_s` when its counter becomes full
+    * and leaves it when its counter drops from full; a generated tuple whose
     * counter reaches 0 is removed.
     */
-  private def pUpdateDelete(p: Node, child: Node, k: Long): Unit = {
-    val full = p.children.length
+  private def pUpdate(p: Node, child: Node, k: Long, sign: Int): Unit = {
+    val flip = if (sign > 0) p.children.length else p.children.length - 1
     if (p.isGen) {
       ops += 1
-      val c = p.tuples.addTo(k, -1)
-      if (c + 1 == full) leaveVs(p, k)
+      val c = p.tuples.addTo(k, sign)
+      if (c == flip) shiftVs(p, k, sign)
       if (c == 0) p.tuples.remove(k)
     } else {
       val set = p.childIdx(child.childPos).get(k)
@@ -258,40 +247,25 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         while (s >= 0) {
           val tt = set.keyAt(s)
           ops += 1
-          if (p.tuples.addTo(tt, -1) + 1 == full) leaveVs(p, tt)
+          if (p.tuples.addTo(tt, sign) == flip) shiftVs(p, tt, sign)
           s = set.nextSlot(s + 1)
         }
       }
     }
   }
 
-  private def processDelete(e0: Node, u: Upd, emit: T => Unit): Long = {
-    if (!lookupIds(e0, u)) return 0L // a value never seen: ineffective
-    val ids = e0.ids
-    val t0 = e0.tupP.fromIds(ids)
-    val count = e0.tuples.get(t0, -1)
-    if (count < 0) return 0L // ineffective under set semantics
-    clearBuffers(e0)
-    // R-Update (Algorithm 4)
-    e0.tuples.remove(t0)
-    var i = 0
-    while (i < e0.children.length) {
-      val k = e0.childKeyP(i).fromIds(ids)
-      val set = e0.childIdx(i).get(k)
+  /** Add `v` to (`sign` = 1) or remove it from (-1) the set under `k` in
+    * `m`; a set left empty is dropped.
+    */
+  private def shiftIndex(m: LongObjMap[LongSet], k: Long, v: Long, sign: Int): Unit =
+    if (sign > 0) m.getOrElseUpdate(k, newSet).add(v)
+    else {
+      val set = m.get(k)
       if (set != null) {
-        set.remove(t0)
-        if (set.isEmpty) e0.childIdx(i).remove(k)
+        set.remove(v)
+        if (set.isEmpty) m.remove(k)
       }
-      ops += 1
-      i += 1
     }
-    if (count == e0.children.length) leaveVs(e0, t0)
-    val n = enumerateDeltas(e0, emit) // the leaving tuples are still indexed
-    dropLeftVs(e0)
-    applyLiveDeletes()
-    release(e0) // the deleted tuple's values and wide keys, now unused
-    n
-  }
 
   /** Remove the tuples that left `V_s` along `e0`'s path from the
     * enumeration indexes `vsByKey` and `projByKey` (the root keeps neither).
@@ -306,28 +280,17 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       while (j < left.length) {
         val tt = left(j)
         val k = e.keyP(tt)
-        val set = e.vsByKey.get(k)
-        set.remove(tt)
-        if (set.isEmpty) e.vsByKey.remove(k)
+        shiftIndex(e.vsByKey, k, tt, -1)
         if (e.hasY && e.mixed) {
           val yp = e.yP(tt)
           val m = e.projByKey.get(k)
-          if (m.addTo(yp, -1) == 0) {
-            m.remove(yp)
-            if (m.isEmpty) e.projByKey.remove(k)
-          }
+          shiftCount(m, yp, -1)
+          if (m.isEmpty) e.projByKey.remove(k)
         }
         j += 1
       }
       i += 1
     }
-  }
-
-  override def processUpdate(u: Upd)(emit: T => Unit): Long = {
-    val node = plan.atomNode(u.rel)
-    Tup.checkArity(u.rel, node.attrs.length, u.t)
-    if (node.filter != null && !node.filter(u.t)) return 0L // §7.2 selection
-    if (u.isInsert) processInsert(node, u, emit) else processDelete(node, u, emit)
   }
 
   private def clearBuffers(e0: Node): Unit = {
@@ -340,42 +303,20 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // ------------------------------------------------------------- encoding
 
-  /** Look up the ids of `u`'s values into `e0.ids`; false if a value has
-    * none (then `u`'s tuple is in no view).
-    */
-  private def lookupIds(e0: Node, u: Upd): Boolean = {
-    val ids = e0.ids
-    var found = true
-    var i = 0
-    while (i < ids.length) {
-      ids(i) = dict.lookup(u.t(i), u.rel)
-      if (ids(i) < 0) found = false
-      i += 1
-    }
-    found
-  }
-
   /** A new base tuple retains its values, creating the missing ones in
     * `e0.ids`, and the wide keys the plan lists for its atom.
     */
   private def retain(e0: Node, u: Upd): Unit = {
-    val ids = e0.ids
+    dict.acquireAll(u.t, u.rel, e0.ids)
     var i = 0
-    while (i < ids.length) {
-      if (ids(i) >= 0) dict.retain(ids(i)) else ids(i) = dict.acquire(u.t(i), u.rel)
-      i += 1
-    }
-    i = 0
-    while (i < e0.wideP.length) { dict.wideAcquire(e0.wideP(i).gather(ids)); i += 1 }
+    while (i < e0.wideP.length) { dict.wideAcquire(e0.wideP(i).gather(e0.ids)); i += 1 }
   }
 
   /** Release what the deleted base tuple in `e0.ids` retained. */
   private def release(e0: Node): Unit = {
-    val ids = e0.ids
     var i = 0
-    while (i < e0.wideP.length) { dict.release(dict.wideLookup(e0.wideP(i).gather(ids))); i += 1 }
-    i = 0
-    while (i < ids.length) { dict.release(ids(i)); i += 1 }
+    while (i < e0.wideP.length) { dict.release(dict.wideLookup(e0.wideP(i).gather(e0.ids))); i += 1 }
+    dict.releaseAll(e0.ids)
   }
 
   // --------------------------------------------------------- enumeration
@@ -567,27 +508,13 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // ------------------------------------------------------------ live views
 
-  /** Index live projection `p` of `e` under each output-carrying child. */
-  private def indexLive(e: Node, p: Long): Unit = {
+  /** Index (`sign` = 1) or unindex (-1) live projection `p` of `e` under
+    * each output-carrying child.
+    */
+  private def shiftLive(e: Node, p: Long, sign: Int): Unit = {
     var i = 0
     while (i < e.children.length) {
-      if (e.liveIdx(i) != null) e.liveIdx(i).getOrElseUpdate(e.liveKeyP(i)(p), newSet).add(p)
-      i += 1
-    }
-  }
-
-  /** Remove live projection `p` of `e` from the index of each child. */
-  private def unindexLive(e: Node, p: Long): Unit = {
-    var i = 0
-    while (i < e.children.length) {
-      if (e.liveIdx(i) != null) {
-        val link = e.liveKeyP(i)(p)
-        val set = e.liveIdx(i).get(link)
-        if (set != null) {
-          set.remove(p)
-          if (set.isEmpty) e.liveIdx(i).remove(link)
-        }
-      }
+      if (e.liveIdx(i) != null) shiftIndex(e.liveIdx(i), e.liveKeyP(i)(p), p, sign)
       i += 1
     }
   }
@@ -604,7 +531,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       var s = buf.nextSlot(0)
       while (s >= 0) {
         val p = buf.keyAt(s)
-        if (e.live.add(p)) indexLive(e, p)
+        if (e.live.add(p)) shiftLive(e, p, 1)
         s = buf.nextSlot(s + 1)
       }
       li += 1
@@ -628,7 +555,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
             val set = e.parent.liveIdx(e.childPos).get(e.linkUpP(p))
             set != null && set.nonEmpty
           }
-          if (!surviving) { e.live.remove(p); unindexLive(e, p) }
+          if (!surviving) { e.live.remove(p); shiftLive(e, p, -1) }
         }
         s = buf.nextSlot(s + 1)
       }
@@ -655,7 +582,4 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     }
     s
   }
-
-  /** Tree height (relations per root-leaf path), for reports. */
-  def planHeight: Int = treeSpec.height
 }

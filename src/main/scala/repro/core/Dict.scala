@@ -91,6 +91,37 @@ final class Dict {
     }
   }
 
+  /** Look the ids of `t`'s values up into `ids`, -1 for a value that has
+    * none; false if some value has none.
+    */
+  def lookupAll(t: Tup.T, rel: String, ids: Array[Int]): Boolean = {
+    var found = true
+    var i = 0
+    while (i < ids.length) {
+      ids(i) = lookup(t(i), rel)
+      if (ids(i) < 0) found = false
+      i += 1
+    }
+    found
+  }
+
+  /** One more reference to each value of `t`, whose ids [[lookupAll]] put
+    * in `ids`; a value with none is created and its id written to `ids`.
+    */
+  def acquireAll(t: Tup.T, rel: String, ids: Array[Int]): Unit = {
+    var i = 0
+    while (i < ids.length) {
+      if (ids(i) >= 0) retain(ids(i)) else ids(i) = acquire(t(i), rel)
+      i += 1
+    }
+  }
+
+  /** One reference less to each id in `ids`. */
+  def releaseAll(ids: Array[Int]): Unit = {
+    var i = 0
+    while (i < ids.length) { release(ids(i)); i += 1 }
+  }
+
   /** The value of id `id`. */
   def decode(id: Int): Any = objs(id)
 

@@ -92,12 +92,6 @@ object JoinTree {
     Right(())
   }
 
-  /** The highest node containing `x` (Def 3.2's top(x)); preorder-first. */
-  def top(root: JTNode, x: String): Option[JTNode] = {
-    if (root.attrs.contains(x)) Some(root)
-    else root.children.iterator.flatMap(top(_, x)).nextOption()
-  }
-
   /** Enumerability condition — the operational form of Def 3.2's free-connex
     * requirement used by the engine. A tree qualifies iff (a) the root
     * carries at least one output attribute and (b) for every node `e` and

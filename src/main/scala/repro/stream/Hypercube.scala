@@ -6,9 +6,11 @@ import repro.core._
 /** Distributed CROWN on Spark (§8.1: "we borrow a similar idea from
   * massively parallel algorithms, such as HyperCube").
   *
-  * One-dimensional HyperCube sharding: pick a partition attribute from the
-  * plan's root (every result carries it, so shard outputs are disjoint by
-  * construction and no dedup is needed); updates whose atom contains the
+  * One-dimensional HyperCube sharding: pick an output attribute of the
+  * plan's root as the partition attribute (every result carries it, so
+  * shard outputs are disjoint by construction and no dedup is needed; a
+  * non-output attribute would let two shards derive one projected result
+  * from different values of it); updates whose atom contains the
   * attribute go to shard `hash(value) mod p`, updates to atoms without it
   * are replicated to every shard — exactly the broadcast dimension of a
   * HyperCube grid, and the reason speedup turns sublinear at high p.
@@ -19,12 +21,16 @@ import repro.core._
   */
 object Hypercube {
 
-  /** Partition attribute: first root attribute (always output-carrying). */
-  def partitionAttr(tree: JTNode): String = tree.attrs.head
+  /** Partition attribute: the first root attribute that is an output
+    * attribute ([[CrownEngine]] requires the root to carry one).
+    */
+  def partitionAttr(cq: CQ, tree: JTNode): String =
+    tree.attrs.find(cq.output.contains).getOrElse(
+      throw new IllegalArgumentException(s"root of $tree carries no output attribute"))
 
   /** Shard a per-atom update sequence. */
   def shard(cq: CQ, tree: JTNode, updates: Seq[Upd], p: Int): IndexedSeq[Vector[Upd]] = {
-    val attr = partitionAttr(tree)
+    val attr = partitionAttr(cq, tree)
     val pos: Map[String, Int] = cq.atoms.map(a => a.name -> a.attrs.indexOf(attr)).toMap
     val buckets = IndexedSeq.fill(p)(Vector.newBuilder[Upd])
     for (u <- updates) {

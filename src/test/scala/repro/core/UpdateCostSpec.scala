@@ -21,6 +21,26 @@ class UpdateCostSpec extends AnyFunSuite {
       .distinct.take(n).toVector
   }
 
+  test("the work counter counts R-, S- and P-Update steps, S-Updates on insertions only") {
+    // tree [x2](R1, R2): a generated root over two leaves
+    val cq = Queries.fig2(Vector("x1", "x2", "x3"))
+    val eng = new CrownEngine(cq, JoinTree.choose(cq).get)
+    def upd(rel: String, a: Long, b: Long, ins: Boolean): (Long, Long) = {
+      val n = eng.processUpdate(Upd(rel, Tup(a, b), ins))(_ => ())
+      (eng.workOps, n)
+    }
+    // (workOps after the update, deltas)
+    assert(upd("R1", 1, 2, ins = true) == (2, 0))  // S + P
+    assert(upd("R2", 2, 3, ins = true) == (5, 1))  // S + P + the root's S
+    assert(upd("R2", 2, 4, ins = true) == (6, 1))  // S; key 2 already in V_p(R2)
+    assert(upd("R1", 5, 2, ins = true) == (7, 2))
+    assert(upd("R1", 1, 2, ins = false) == (7, 2)) // key 2 stays in V_p(R1)
+    assert(upd("R2", 2, 3, ins = false) == (7, 1))
+    assert(upd("R1", 5, 2, ins = false) == (8, 1)) // P; the root's tuple leaves V_s
+    assert(upd("R2", 2, 4, ins = false) == (9, 0)) // P
+    assert(eng.fullSet.isEmpty)
+  }
+
   test("Lemma 4.1: CROWN space stays linear in the input") {
     val cq = Queries.hop3Full(1000)
     val tree = JoinTree.choose(cq).get
@@ -72,7 +92,6 @@ class UpdateCostSpec extends AnyFunSuite {
       val rnd = new Random(2)
       val eng = new CrownEngine(cq, tree)
       val present = scala.collection.mutable.ArrayBuffer.empty[Tup.T]
-      var ops0 = 0L
       for (_ <- 0 until m) {
         val ins = present.isEmpty || rnd.nextDouble() < 0.7
         val t = if (ins) Tup(rnd.nextInt(m / 4).toLong, rnd.nextInt(m / 4).toLong)

@@ -15,8 +15,8 @@ class StreamingSpec extends SparkSpec {
   private val cq = Queries.hop3Full(200)
   private val copies = Seq("G1", "G2", "G3")
 
-  private def serialRun(updates: Seq[Upd]): (Long, Set[Tup.T]) = {
-    val eng = Compiler.compile(cq)
+  private def serialRun(updates: Seq[Upd],
+                        eng: IncrementalEngine = Compiler.compile(cq)): (Long, Set[Tup.T]) = {
     var deltas = 0L
     updates.foreach(u => deltas += eng.processUpdate(u)(_ => ()))
     (deltas, eng.fullSet)
@@ -60,24 +60,27 @@ class StreamingSpec extends SparkSpec {
   }
 
   test("HyperCube sharding: shard outputs are disjoint and union to the serial result") {
-    val tree = JoinTree.choose(cq).get
-    val base = Updates.fifoWindow("G", edges, w = 300)
-    val perAtom = Updates.expandSelfJoin(base, Map("G" -> copies))
-    val (serialDeltas, serialFull) = serialRun(perAtom)
+    // fig2 projected onto x3 has the root R2(x2, x3): x2 is not an output attribute
+    for ((q, atoms) <- Seq(cq -> copies, Queries.fig2(Vector("x3")) -> Seq("R1", "R2"))) {
+      val tree = JoinTree.choose(q).get
+      val base = Updates.fifoWindow("G", edges, w = 300)
+      val perAtom = Updates.expandSelfJoin(base, Map("G" -> atoms))
+      val (serialDeltas, serialFull) = serialRun(perAtom, Compiler.compile(q))
 
-    val p = 4
-    val shards = Hypercube.shard(cq, tree, perAtom, p)
-    var totalDeltas = 0L
-    var union = Set.empty[Tup.T]
-    for (sh <- shards) {
-      val eng = new CrownEngine(cq, tree)
-      sh.foreach(u => totalDeltas += eng.processUpdate(u)(_ => ()))
-      val fs = eng.fullSet
-      assert((union & fs).isEmpty, "shard results overlap")
-      union ++= fs
+      val p = 4
+      val shards = Hypercube.shard(q, tree, perAtom, p)
+      var totalDeltas = 0L
+      var union = Set.empty[Tup.T]
+      for (sh <- shards) {
+        val eng = new CrownEngine(q, tree)
+        sh.foreach(u => totalDeltas += eng.processUpdate(u)(_ => ()))
+        val fs = eng.fullSet
+        assert((union & fs).isEmpty, s"${q.name}: shard results overlap")
+        union ++= fs
+      }
+      assert(totalDeltas == serialDeltas, s"${q.name}: $totalDeltas deltas, serial $serialDeltas")
+      assert(union == serialFull, q.name)
     }
-    assert(totalDeltas == serialDeltas)
-    assert(union == serialFull)
   }
 
   test("parallel Spark run (p=3) matches serial delta count") {
