@@ -178,9 +178,10 @@ abstract class ChainEngine(val cq: CQ, maxOpsPerUpdate: Long) extends Incrementa
   * onto the output attributes and the attributes that atoms outside the
   * level still join on (projection pushdown).
   *
-  * The chain keeps its first `depth` levels. Each kept level is indexed by
-  * its join key with the next atom in `order`, and each kept atom after
-  * the first by its join key with the level below it. A level that covers
+  * The chain keeps its first `depth` levels. Each kept level is stored only
+  * in its index: its tuples and their counts, grouped by their join key with
+  * the next atom in `order`. Each kept atom after the first is indexed by
+  * its join key with the level below it. A level that covers
   * every atom (`depth` = all of them) is the query result: it is kept in
   * output-attribute order, in the engine's result counts.
   *
@@ -226,7 +227,6 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
 
   // a full chain's top level is the engine's result, not a view of its own
   private val kept = if (depth == n) depth - 1 else depth
-  private val view = Array.fill(kept)(new LongIntMap(64))
   private val index = Array.fill(kept)(new LongObjMap[LongIntMap](64))
   private val baseIndex = Array.fill(depth)(new LongObjMap[LongSet](64))
   private val newCounts: () => LongIntMap = () => new LongIntMap
@@ -243,7 +243,7 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
   /** Level `l`'s tuples whose join key with the next atom is `key`, or null. */
   def bucket(l: Int, key: Long): LongIntMap = index(l).get(key)
 
-  def entries: Long = view.iterator.map(_.size.toLong).sum
+  def entries: Long = index.iterator.map(LongObjMap.bucketSizes).sum
 
   /** Propagate an effective update of atom `j` (handle `t`, ids `tIds`) up
     * the chain; returns the number of results emitted (only a full chain
@@ -329,21 +329,17 @@ final class ChainViews(engine: ChainEngine, order: Vector[Int], depth: Int) {
     engine.intern(ids)
   }
 
-  /** Add `c` to level `l`'s count of `m`, keeping its index in step. */
+  /** Add `c` to level `l`'s count of `m` in its bucket, dropping a bucket
+    * left empty. A count that falls to 0 was in its bucket before, so `key`
+    * is that bucket's key (a wide key without an id reads -1).
+    */
   private def add(l: Int, m: Long, c: Int): Unit = {
-    val nw = engine.count(view(l), wideLevel(l), m, c)
     val p = keyOfPrev(l + 1)
     val idx = index(l)
     val wk = wideKey(l + 1)
-    if (nw == 0) {
-      val key = p(m)
-      val b = idx.get(key)
-      b.remove(m)
-      dropIfEmpty(idx, wk, key, b)
-    } else {
-      val src = if (wk) dict.wideIds(m.toInt) else null
-      bucketFor(idx, p, wk, p(m), src, newCounts).put(m, nw)
-    }
+    val key = p(m)
+    val b = bucketFor(idx, p, wk, key, if (wk) dict.wideIds(m.toInt) else null, newCounts)
+    if (engine.count(b, wideLevel(l), m, c) == 0) dropIfEmpty(idx, wk, key, b)
   }
 
   /** The bucket of `key` in `idx`, made if absent. A wide key is looked up

@@ -52,8 +52,10 @@ final class ProjectionAdapter(val inner: IncrementalEngine, extendedOutput: Vect
 
 /** Group-by count-distinct over the delta stream of an extended-output
   * engine: `groupVars` are the grouping output attributes, `distinctVar` the
-  * counted one. Emitted tuples are `(group..., count)`; full enumeration
-  * yields the current aggregate table.
+  * counted one. A [[ProjectionAdapter]] onto `(group..., distinct)` emits a
+  * pair when it appears or disappears; the group's count of distinct values
+  * moves by one with it. Emitted tuples are `(group..., count)`; full
+  * enumeration yields the current aggregate table.
   */
 final class GroupCountDistinctAdapter(val inner: IncrementalEngine,
                                       extendedOutput: Vector[String],
@@ -61,37 +63,17 @@ final class GroupCountDistinctAdapter(val inner: IncrementalEngine,
                                       distinctVar: String) extends IncrementalEngine {
   override def name: String = inner.name + "+count-distinct"
 
-  private val groupIdx = Tup.projIdx(extendedOutput, groupVars)
-  private val distIdx = Tup.projIdx(extendedOutput, Vector(distinctVar))
-  // (group, distinct value) -> derivation count; group -> #distinct values
-  private val pairCounts = mutable.HashMap.empty[(T, T), Int]
+  private val pairs = new ProjectionAdapter(inner, extendedOutput, groupVars :+ distinctVar)
+  // group -> #distinct values
   private val groupCounts = mutable.HashMap.empty[T, Long]
 
-  override def processUpdate(u: Upd)(emit: T => Unit): Long = {
-    var n = 0L
-    inner.processUpdate(u) { ext =>
-      val g = Tup.proj(ext, groupIdx)
-      val d = Tup.proj(ext, distIdx)
-      if (u.isInsert) {
-        val c = pairCounts.getOrElse((g, d), 0)
-        pairCounts((g, d)) = c + 1
-        if (c == 0) {
-          val gc = groupCounts.getOrElse(g, 0L) + 1
-          groupCounts(g) = gc
-          emit(Tup((g :+ gc.asInstanceOf[Any]): _*)); n += 1
-        }
-      } else {
-        val c = pairCounts((g, d))
-        if (c == 1) {
-          pairCounts.remove((g, d))
-          val gc = groupCounts(g) - 1
-          if (gc == 0) groupCounts.remove(g) else groupCounts(g) = gc
-          emit(Tup((g :+ gc.asInstanceOf[Any]): _*)); n += 1
-        } else pairCounts((g, d)) = c - 1
-      }
+  override def processUpdate(u: Upd)(emit: T => Unit): Long =
+    pairs.processUpdate(u) { pair =>
+      val g = pair.init
+      val gc = groupCounts.getOrElse(g, 0L) + (if (u.isInsert) 1 else -1)
+      if (gc == 0) groupCounts.remove(g) else groupCounts(g) = gc
+      emit(Tup((g :+ gc.asInstanceOf[Any]): _*))
     }
-    n
-  }
 
   override def enumerateFull(cb: T => Boolean): Unit = {
     val it = groupCounts.iterator
@@ -102,7 +84,7 @@ final class GroupCountDistinctAdapter(val inner: IncrementalEngine,
     }
   }
 
-  override def spaceEntries: Long = inner.spaceEntries + pairCounts.size + groupCounts.size
+  override def spaceEntries: Long = pairs.spaceEntries + groupCounts.size
   override def workOps: Long = inner.workOps
 }
 

@@ -58,7 +58,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
     val tuples = mutable.HashMap.empty[T, NState]
     var childIdx: Array[mutable.HashMap[T, mutable.HashSet[T]]] = _
     val vpCnt = mutable.HashMap.empty[T, Int]                  // non-root membership
-    val vsByKey = mutable.HashMap.empty[T, mutable.HashSet[T]] // non-root
+    val enumIdx = mutable.HashMap.empty[T, mutable.HashSet[T]] // non-root, subtreeY non-empty
     val vpAgg = mutable.HashMap.empty[T, A]                    // non-root, subtreeY empty
   }
 
@@ -99,13 +99,14 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
     if (e.isRoot) return
     val k = Tup.proj(t, e.keyIdx)
     var cntFlip = false
+    val indexed = e.subtreeY.nonEmpty // results() reads V_s only there
     if (isMember && !wasMember) {
-      e.vsByKey.getOrElseUpdate(k, mutable.HashSet.empty) += t
+      if (indexed) e.enumIdx.getOrElseUpdate(k, mutable.HashSet.empty) += t
       val c = e.vpCnt.getOrElse(k, 0)
       e.vpCnt(k) = c + 1
       cntFlip = c == 0
     } else if (!isMember && wasMember) {
-      e.vsByKey.get(k).foreach { s => s -= t; if (s.isEmpty) e.vsByKey.remove(k) }
+      if (indexed) e.enumIdx.get(k).foreach { s => s -= t; if (s.isEmpty) e.enumIdx.remove(k) }
       val c = e.vpCnt(k)
       if (c == 1) { e.vpCnt.remove(k); cntFlip = true } else e.vpCnt(k) = c - 1
     }
@@ -202,7 +203,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
         if (i == e.outKids.length) cont(a)
         else {
           val c = e.outKids(i)
-          c.vsByKey.get(Tup.proj(t, e.childKeyIdx(c.childPos))).foreach { set =>
+          c.enumIdx.get(Tup.proj(t, e.childKeyIdx(c.childPos))).foreach { set =>
             for (tt <- set) descend(c, tt, a, go(i + 1, _))
           }
         }

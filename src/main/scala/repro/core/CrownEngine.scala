@@ -13,9 +13,10 @@ import scala.collection.immutable.ArraySeq
   *     (the "horizontal derivation counting" of Algorithm 3);
   *   - the projection view `V_p(e) = π_key(e) V_s(e)` with derivation counts
   *     (Algorithm 2);
-  *   - for enumeration: `V_s` grouped by `key(e)`, and for nodes with
-  *     non-output attributes the counted distinct output-projections per key
-  *     (Algorithm 5 lines 1–3);
+  *   - where enumeration reads it (a node in its parent's `enumKids`): the
+  *     distinct output projections of `V_s`, counted, grouped by `key(e)`
+  *     (Algorithm 5 lines 1–3); an all-output node's projection is its
+  *     tuple;
   *   - the live view `V_l(e) = π_{e∩y} Q(D)` with per-child hash indexes
   *     (§5.2), maintained from the enumerated deltas via Lemma 5.5.
   *
@@ -55,9 +56,8 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     val tuples = new LongIntMap                        // tuple -> counter
     var childIdx: Array[LongObjMap[LongSet]] = _       // input nodes
     val vp = new LongIntMap                            // non-root
-    val vsByKey = new LongObjMap[LongSet]              // non-root
     val projCnt = new LongIntMap                       // hasY
-    val projByKey = new LongObjMap[LongIntMap]         // mixed, non-root, hasY
+    var enumIdx: LongObjMap[LongIntMap] = _            // in the parent's enumKids
     val live = new LongSet                             // internal, non-root, hasY
     var liveIdx: Array[LongObjMap[LongSet]] = _        // per hasY child
 
@@ -126,6 +126,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     require(c.hasY, s"enum child ${c.attrs} carries no output attribute (unsupported tree)")
     require(n.childKeyFromY(c.childPos) != null,
       s"join key into output-bearing child ${c.attrs} is not all-output — tree not enumerable")
+    c.enumIdx = new LongObjMap[LongIntMap]
   }
 
   /** Internal non-root output-carrying nodes (live views live here),
@@ -197,12 +198,11 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   /** S-Update/P-Update cascade (Algorithms 2–3): `tt` entered (`sign` = 1)
     * or left (`sign` = -1) `V_s(e)`. A projection or key enters its view at
     * count 1 and leaves it at 0. On a deletion the counters drop at once,
-    * while `vsByKey` and `projByKey` keep `tt` until the delta has been
+    * while `enumIdx` keeps `tt`'s projection until the delta has been
     * enumerated ([[dropLeftVs]]).
     */
   private def shiftVs(e: Node, tt: Long, sign: Int): Unit = {
     val d = nodeDeltas(e.id)
-    d.vsTuples += tt
     if (sign > 0) ops += 1 // S-Update work is counted on insertions only
     val k = if (e.isRoot) 0L else e.keyP(tt)
     if (e.hasY) {
@@ -211,12 +211,12 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         d.projs += yp; d.projSet.add(yp)
         if (e.isRoot) shiftLive(root, yp, sign)
       }
-      if (sign > 0 && e.mixed && !e.isRoot) e.projByKey.getOrElseUpdate(k, newCounts).addTo(yp, 1)
+      if (e.enumIdx != null) {
+        if (sign > 0) e.enumIdx.getOrElseUpdate(k, newCounts).addTo(yp, 1)
+        else d.vsTuples += tt
+      }
     }
-    if (!e.isRoot) {
-      if (sign > 0) e.vsByKey.getOrElseUpdate(k, newSet).add(tt)
-      if (shiftCount(e.vp, k, sign)) pUpdate(e.parent, e, k, sign)
-    }
+    if (!e.isRoot && shiftCount(e.vp, k, sign)) pUpdate(e.parent, e, k, sign)
   }
 
   /** Move `k`'s count in `m` by `sign`; true if `k` entered `m` (count 1)
@@ -267,27 +267,25 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       }
     }
 
-  /** Remove the tuples that left `V_s` along `e0`'s path from the
-    * enumeration indexes `vsByKey` and `projByKey` (the root keeps neither).
+  /** Remove the projections of the tuples that left `V_s` along `e0`'s path
+    * from the enumeration indexes.
     */
   private def dropLeftVs(e0: Node): Unit = {
     val path = e0.path
     var i = 0
-    while (i < path.length - 1) {
+    while (i < path.length) {
       val e = path(i)
-      val left = nodeDeltas(e.id).vsTuples
-      var j = 0
-      while (j < left.length) {
-        val tt = left(j)
-        val k = e.keyP(tt)
-        shiftIndex(e.vsByKey, k, tt, -1)
-        if (e.hasY && e.mixed) {
-          val yp = e.yP(tt)
-          val m = e.projByKey.get(k)
-          shiftCount(m, yp, -1)
-          if (m.isEmpty) e.projByKey.remove(k)
+      if (e.enumIdx != null) {
+        val left = nodeDeltas(e.id).vsTuples
+        var j = 0
+        while (j < left.length) {
+          val tt = left(j)
+          val k = e.keyP(tt)
+          val m = e.enumIdx.get(k)
+          shiftCount(m, e.yP(tt), -1)
+          if (m.isEmpty) e.enumIdx.remove(k)
+          j += 1
         }
-        j += 1
       }
       i += 1
     }
@@ -333,9 +331,8 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * at level 0 (Algorithm 5 if `e` is the root): one live level for each
     * ancestor up `e.path`, excluding the projections this update changed
     * there (Def 5.6), then the preorder FullEnum levels below each node of
-    * the path, skipping the path's own child. Mixed nodes yield their
-    * counted distinct output projections; an all-output node's V_s tuple is
-    * its projection.
+    * the path, skipping the path's own child; each reads its node's
+    * `enumIdx`.
     */
   private def compileProgram(e: Node): Array[Level] = {
     val levels = scala.collection.mutable.ArrayBuffer(new Level(e, null, -1, null, null))
@@ -345,7 +342,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         path(j - 1).linkUpP, nodeDeltas(path(j).id).projSet)
     def below(n: Node, at: Int, skip: Node): Unit =
       for (c <- n.enumKids if c ne skip) {
-        levels += new Level(c, if (c.mixed) c.projByKey else c.vsByKey, at,
+        levels += new Level(c, c.enumIdx, at,
           new Proj(dict, n.yAttrs.length, n.childKeyFromY(c.childPos)), null)
         below(c, levels.length - 1, null)
       }
@@ -565,20 +562,14 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // ------------------------------------------------------------- metrics
 
-  private def setSizes(m: LongObjMap[_ <: LongTable]): Long = {
-    var sum = 0L
-    var s = m.nextSlot(0)
-    while (s >= 0) { sum += m.valueAt(s).size; s = m.nextSlot(s + 1) }
-    sum
-  }
-
   override def spaceEntries: Long = {
+    import LongObjMap.bucketSizes
     var s = 0L
     for (n <- nodes) {
       s += n.tuples.size + n.vp.size + n.projCnt.size + n.live.size
-      s += setSizes(n.vsByKey) + setSizes(n.projByKey)
-      if (n.childIdx != null) s += n.childIdx.iterator.map(setSizes).sum
-      s += n.liveIdx.iterator.filter(_ != null).map(setSizes).sum
+      if (n.enumIdx != null) s += bucketSizes(n.enumIdx)
+      if (n.childIdx != null) s += n.childIdx.iterator.map(bucketSizes).sum
+      s += n.liveIdx.iterator.filter(_ != null).map(bucketSizes).sum
     }
     s
   }

@@ -16,7 +16,6 @@ abstract class PlanNode[N <: PlanNode[N]](val id: Int, val attrs: Vector[String]
 
   val yAttrs: Vector[String] = attrs.filter(ySet.contains)
   val hasY: Boolean = yAttrs.nonEmpty
-  val mixed: Boolean = attrs.exists(a => !ySet.contains(a))
   def isRoot: Boolean = parent == null
   def isLeaf: Boolean = children.isEmpty
 

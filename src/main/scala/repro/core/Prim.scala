@@ -233,6 +233,16 @@ final class LongObjMap[V <: AnyRef](initialCapacity: Int = 4) extends LongTable(
   override protected def endResize(): Unit = old = null
 }
 
+object LongObjMap {
+  /** The entries in all of `m`'s buckets. */
+  def bucketSizes(m: LongObjMap[_ <: LongTable]): Long = {
+    var sum = 0L
+    var s = m.nextSlot(0)
+    while (s >= 0) { sum += m.valueAt(s).size; s = m.nextSlot(s + 1) }
+    sum
+  }
+}
+
 /** Sums of `Int`s by `Long` key, for one update's deltas: a sparse set in
   * the manner of Briggs & Torczon (1993). The entries sit in dense arrays in
   * the order their keys were first added, and an open-addressing index of

@@ -56,6 +56,31 @@ class UpdateCostSpec extends AnyFunSuite {
     assert(s1000.toDouble / s500 < 3.0, s"space grew superlinearly: $s500 -> $s1000")
   }
 
+  test("Lemma 4.1, exactly: only enumerated children hold an enumeration index") {
+    // tree [x2](G1, G2(G3)); edge e goes into G1, G2 and G3, then space is read
+    def spaces(cq: CQ): Seq[Long] = {
+      val eng = new CrownEngine(cq, JoinTree.choose(cq).get)
+      for (e <- Seq(Tup(1L, 2L), Tup(2L, 3L), Tup(3L, 4L), Tup(5L, 2L))) yield {
+        for (a <- Seq("G1", "G2", "G3")) eng.processUpdate(Upd(a, e, isInsert = true))(_ => ())
+        eng.spaceEntries
+      }
+    }
+    // hop3Proj (y = x2, x3): only G2 adds an output attribute to its parent,
+    // so only G2 holds an index. Space after each edge, as node tuples (the
+    // root's generated ones too) + V_p + counted projections + G2's index +
+    // G2's index of G3 + live views with their indexes:
+    //   (1,2):  4 +  2 +  2 + 0 + 1 + 0 = 9
+    //   (2,3):  9 +  5 +  5 + 1 + 2 + 0 = 22   G2's (1,2) joins G3's (2,3)
+    //   (3,4): 13 +  8 +  9 + 2 + 3 + 4 = 39   root x2 = 2 yields (2,3)
+    //   (5,2): 17 + 10 + 11 + 3 + 4 + 4 = 49   G2's (5,2) joins no root x2
+    assert(spaces(Queries.hop3Proj(1000)) == Seq(9, 22, 39, 49))
+    // hop3Full: G1 and G3 are indexed too. They are all-output, so they count
+    // each V_s tuple once: 2, 4, 6, 8 more entries. G1's (5,2) adds one more
+    // counted projection, as x1 is now an output attribute.
+    //   9 + 2 = 11, 22 + 4 = 26, 39 + 6 = 45, 49 + 8 + 1 = 58
+    assert(spaces(Queries.hop3Full(1000)) == Seq(11, 26, 45, 58))
+  }
+
   test("Example 6.12: CROWN O(1) vs standard CP's polynomial update cost") {
     // distinct relations R1..R4 (no self-join), hop4-intro output
     def load(n: Int): (Double, Double) = {
