@@ -13,8 +13,8 @@ import scala.collection.mutable
   *
   * [[GroupCountDistinctAdapter]] implements the SNB Q4 pattern
   * `GROUP BY g, COUNT(DISTINCT d)`: it consumes the extended delta stream and
-  * maintains per-group distinct counts, emitting `(g..., count)` deltas
-  * (retract + assert) whenever a group's count changes.
+  * maintains per-group distinct counts. When a group's count changes it emits
+  * the new `(g..., count)`, 0 once the group empties, and retracts no old one.
   */
 final class ProjectionAdapter(val inner: IncrementalEngine, extendedOutput: Vector[String],
                               val output: Vector[String]) extends IncrementalEngine {

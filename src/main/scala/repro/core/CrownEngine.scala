@@ -11,14 +11,17 @@ import scala.collection.immutable.ArraySeq
   *   - its relation tuples with a counter `count[t]` = number of children
   *     `c` with `t[key(c)] ∈ V_p(c)`; `t ∈ V_s(e)` iff the counter is full
   *     (the "horizontal derivation counting" of Algorithm 3);
-  *   - the projection view `V_p(e) = π_key(e) V_s(e)` with derivation counts
-  *     (Algorithm 2);
+  *   - `V_p(e) = π_key(e) V_s(e)`, each key counted by its `V_s` tuples
+  *     (Algorithm 2), and `π_y V_s(e)`, counted the same way: a table of its
+  *     own only at the root or where it is neither `V_s(e)` (`y` covers `e`)
+  *     nor `V_p(e)` (`e`'s output attributes are its key);
   *   - where enumeration reads it (a node in its parent's `enumKids`): the
   *     distinct output projections of `V_s`, counted, grouped by `key(e)`
   *     (Algorithm 5 lines 1–3); an all-output node's projection is its
   *     tuple;
-  *   - the live view `V_l(e) = π_{e∩y} Q(D)` with per-child hash indexes
-  *     (§5.2), maintained from the enumerated deltas via Lemma 5.5.
+  *   - the live view `V_l(e) = π_{e∩y} Q(D)` (§5.2), held only in its hash
+  *     indexes under the output-carrying children, which read it, and
+  *     maintained from the enumerated deltas via Lemma 5.5.
   *
   * Updates run R-Update / S-Update / P-Update along the leaf-to-root path
   * (Algorithms 2–4). Both enumeration modes run one program compiled per
@@ -56,10 +59,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     val tuples = new LongIntMap                        // tuple -> counter
     var childIdx: Array[LongObjMap[LongSet]] = _       // input nodes
     val vp = new LongIntMap                            // non-root
-    val projCnt = new LongIntMap                       // hasY
+    var projCnt: LongIntMap = _                        // hasY: π_y V_s, see below
     var enumIdx: LongObjMap[LongIntMap] = _            // in the parent's enumKids
-    val live = new LongSet                             // internal, non-root, hasY
-    var liveIdx: Array[LongObjMap[LongSet]] = _        // per hasY child
+    var liveIdx: Array[LongObjMap[LongSet]] = _        // per hasY child, if hasY
 
     // the plan's projections, compiled against the dictionary
     var keyP: Proj = _                 // non-root
@@ -74,6 +76,10 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     var ids: Array[Int] = _
     var tupP: Proj = _
     var wideP: Array[Proj] = _
+
+    /** `p` is in π_y V_s; where that is V_s itself, its counter is full. */
+    def hasProj(p: Long): Boolean =
+      if (projCnt == null) tuples.get(p, -1) == children.length else projCnt.contains(p)
   }
 
   // ---------------------------------------------------------- compilation
@@ -113,6 +119,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       n.wideP = wideKeys(n).map(proj(arity, _))
     }
     n.liveIdx = n.children.map(c => if (n.hasY && c.hasY) new LongObjMap[LongSet] else null)
+    // below the root, π_y V_s is V_s itself (null) if y covers n, V_p if y is n's key
+    if (n.hasY) n.projCnt = if (n.isRoot) new LongIntMap else if (n.yAttrs == n.attrs) null
+      else if (n.yAttrs == n.keyAttrs) n.vp else new LongIntMap
     n.yP = proj(arity, n.yIdx)
     n.resP = proj(y.length, n.yOut)
     if (!n.isRoot) {
@@ -129,19 +138,18 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     c.enumIdx = new LongObjMap[LongIntMap]
   }
 
-  /** Internal non-root output-carrying nodes (live views live here),
-    * top-down order for deletion maintenance.
+  /** Non-root nodes with an output-carrying child, which reads their live view;
+    * top-down, for deletion maintenance. The root's live view is its π_y V_s.
     */
   private val liveNodes: Array[Node] =
-    nodes.filter(n => !n.isRoot && !n.isLeaf && n.hasY).sortBy(_.depth)
+    nodes.filter(n => !n.isRoot && n.liveIdx.exists(_ != null)).sortBy(_.depth)
 
   // -------------------------------------------------------------- deltas
 
   private final class NodeDelta {
     val vsTuples = new LongBuf
-    val projs = new LongBuf
     val projSet = new LongSet
-    def clear(): Unit = { vsTuples.clear(); projs.clear(); projSet.clear() }
+    def clear(): Unit = { vsTuples.clear(); projSet.clear() }
   }
   private val nodeDeltas: Array[NodeDelta] = Array.fill(nodes.length)(new NodeDelta)
   private val liveBuf: Array[LongSet] = Array.fill(nodes.length)(new LongSet)
@@ -167,10 +175,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     clearBuffers(e0)
     rUpdate(e0, e0.tupP.fromIds(ids), sign)
     val n = enumerateDeltas(e0, emit) // a deletion's leaving tuples are still indexed
-    if (sign > 0) applyLiveInserts()
-    else {
+    settleLive(sign)
+    if (sign < 0) {
       dropLeftVs(e0)
-      applyLiveDeletes()
       release(e0) // the deleted tuple's values and wide keys, now unused
     }
     n
@@ -197,18 +204,21 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   /** S-Update/P-Update cascade (Algorithms 2–3): `tt` entered (`sign` = 1)
     * or left (`sign` = -1) `V_s(e)`. A projection or key enters its view at
-    * count 1 and leaves it at 0. On a deletion the counters drop at once,
-    * while `enumIdx` keeps `tt`'s projection until the delta has been
-    * enumerated ([[dropLeftVs]]).
+    * count 1 and leaves it at 0; where π_y V_s is V_s, every shift flips
+    * `tt`, and where it is V_p, the key's flip is the projection's. On a
+    * deletion the counters drop at once, while `enumIdx` keeps `tt`'s
+    * projection until the delta has been enumerated ([[dropLeftVs]]).
     */
   private def shiftVs(e: Node, tt: Long, sign: Int): Unit = {
     val d = nodeDeltas(e.id)
     if (sign > 0) ops += 1 // S-Update work is counted on insertions only
     val k = if (e.isRoot) 0L else e.keyP(tt)
+    val up = !e.isRoot && shiftCount(e.vp, k, sign)
     if (e.hasY) {
-      val yp = e.yP(tt)
-      if (shiftCount(e.projCnt, yp, sign)) {
-        d.projs += yp; d.projSet.add(yp)
+      val yp = e.yP(tt) // tt itself if y covers e, k if y is e's key
+      val pc = e.projCnt
+      if (pc == null || (if (pc eq e.vp) up else shiftCount(pc, yp, sign))) {
+        d.projSet.add(yp)
         if (e.isRoot) shiftLive(root, yp, sign)
       }
       if (e.enumIdx != null) {
@@ -216,7 +226,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         else d.vsTuples += tt
       }
     }
-    if (!e.isRoot && shiftCount(e.vp, k, sign)) pUpdate(e.parent, e, k, sign)
+    if (up) pUpdate(e.parent, e, k, sign)
   }
 
   /** Move `k`'s count in `m` by `sign`; true if `k` entered `m` (count 1)
@@ -493,9 +503,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     while (i < path.length) {
       val e = path(i)
       if (e.hasY) {
-        val d = nodeDeltas(e.id)
-        var pi = 0
-        while (pi < d.projs.length) { run(programs(e.id), d.projs(pi)); pi += 1 }
+        val ps = nodeDeltas(e.id).projSet
+        var s = ps.nextSlot(0)
+        while (s >= 0) { run(programs(e.id), ps.keyAt(s)); s = ps.nextSlot(s + 1) }
       }
       i += 1
     }
@@ -516,30 +526,16 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     }
   }
 
-  /** Insertion: every enumerated delta result's projection becomes live
-    * (Lemma 5.5 "only if" direction; buffered so the S-joins of the same
-    * update see the pre-update live views).
+  /** Settle the live views after the update's deltas were enumerated
+    * (Lemma 5.5; buffered so the S-joins of the same update see the
+    * pre-update live views). On an insertion every buffered projection
+    * becomes live. On a deletion one stays live iff it is still in π_y V_s
+    * and still joins the parent's live view (whose emptied index sets are
+    * dropped), checked top-down so parents settle first. A live projection
+    * is in every index of its node, so indexing a live one, or unindexing
+    * one that is not, changes nothing.
     */
-  private def applyLiveInserts(): Unit = {
-    var li = 0
-    while (li < liveNodes.length) {
-      val e = liveNodes(li)
-      val buf = liveBuf(e.id)
-      var s = buf.nextSlot(0)
-      while (s >= 0) {
-        val p = buf.keyAt(s)
-        if (e.live.add(p)) shiftLive(e, p, 1)
-        s = buf.nextSlot(s + 1)
-      }
-      li += 1
-    }
-  }
-
-  /** Deletion: a touched projection stays live iff it is still in π_y V_s
-    * and still joins the parent's live view (Lemma 5.5), checked top-down
-    * so parents settle first.
-    */
-  private def applyLiveDeletes(): Unit = {
+  private def settleLive(sign: Int): Unit = {
     var li = 0
     while (li < liveNodes.length) { // liveNodes is top-down
       val e = liveNodes(li)
@@ -547,13 +543,8 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
       var s = buf.nextSlot(0)
       while (s >= 0) {
         val p = buf.keyAt(s)
-        if (e.live.contains(p)) {
-          val surviving = e.projCnt.contains(p) && {
-            val set = e.parent.liveIdx(e.childPos).get(e.linkUpP(p))
-            set != null && set.nonEmpty
-          }
-          if (!surviving) { e.live.remove(p); shiftLive(e, p, -1) }
-        }
+        if (sign > 0 || !(e.hasProj(p) && e.parent.liveIdx(e.childPos).contains(e.linkUpP(p))))
+          shiftLive(e, p, sign)
         s = buf.nextSlot(s + 1)
       }
       li += 1
@@ -566,7 +557,8 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     import LongObjMap.bucketSizes
     var s = 0L
     for (n <- nodes) {
-      s += n.tuples.size + n.vp.size + n.projCnt.size + n.live.size
+      s += n.tuples.size + n.vp.size
+      if (n.projCnt != null && (n.projCnt ne n.vp)) s += n.projCnt.size
       if (n.enumIdx != null) s += bucketSizes(n.enumIdx)
       if (n.childIdx != null) s += n.childIdx.iterator.map(bucketSizes).sum
       s += n.liveIdx.iterator.filter(_ != null).map(bucketSizes).sum

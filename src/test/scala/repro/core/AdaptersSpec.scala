@@ -63,6 +63,24 @@ class AdaptersSpec extends AnyFunSuite {
     }
   }
 
+  test("count-distinct adapter emits each changed group's new count, 0 when it empties") {
+    val cq = Queries.fig2(Vector("x1", "x2", "x3"))
+    val adapter = new GroupCountDistinctAdapter(Compiler.compile(cq), cq.output, Vector("x1"), "x2")
+    def upd(rel: String, a: Long, b: Long, ins: Boolean): Seq[T] = {
+      val out = mutable.ArrayBuffer.empty[T]
+      adapter.processUpdate(Upd(rel, Tup(a, b), ins))(out += _)
+      out.toSeq
+    }
+    assert(upd("R1", 1, 2, ins = true) == Seq())
+    assert(upd("R2", 2, 3, ins = true) == Seq(Tup(1L, 1L)))  // x2 = 2 joins
+    assert(upd("R2", 2, 4, ins = true) == Seq())             // x2 = 2 again
+    assert(upd("R1", 1, 5, ins = true) == Seq())
+    assert(upd("R2", 5, 6, ins = true) == Seq(Tup(1L, 2L)))  // x2 = 5 joins
+    assert(upd("R1", 1, 2, ins = false) == Seq(Tup(1L, 1L))) // no retraction of (1, 2)
+    assert(upd("R1", 1, 5, ins = false) == Seq(Tup(1L, 0L))) // the group empties
+    assert(adapter.fullSet.isEmpty)
+  }
+
   test("freeConnexExtension finds the minimal extension") {
     val ext = Hypergraph.freeConnexExtension(nonFc)
     assert(ext.isDefined)

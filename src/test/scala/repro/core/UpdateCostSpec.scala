@@ -57,28 +57,34 @@ class UpdateCostSpec extends AnyFunSuite {
   }
 
   test("Lemma 4.1, exactly: only enumerated children hold an enumeration index") {
-    // tree [x2](G1, G2(G3)); edge e goes into G1, G2 and G3, then space is read
+    // tree [x2](G1, G2(G3)); edge e goes into G1, G2 and G3, then space is
+    // read; then the edges leave in reverse order, and space retraces
+    val edges = Seq(Tup(1L, 2L), Tup(2L, 3L), Tup(3L, 4L), Tup(5L, 2L))
     def spaces(cq: CQ): Seq[Long] = {
       val eng = new CrownEngine(cq, JoinTree.choose(cq).get)
-      for (e <- Seq(Tup(1L, 2L), Tup(2L, 3L), Tup(3L, 4L), Tup(5L, 2L))) yield {
-        for (a <- Seq("G1", "G2", "G3")) eng.processUpdate(Upd(a, e, isInsert = true))(_ => ())
+      def load(es: Seq[Tup.T], ins: Boolean): Seq[Long] = for (e <- es) yield {
+        for (a <- Seq("G1", "G2", "G3")) eng.processUpdate(Upd(a, e, ins))(_ => ())
         eng.spaceEntries
       }
+      load(edges, ins = true) ++ load(edges.reverse, ins = false)
     }
     // hop3Proj (y = x2, x3): only G2 adds an output attribute to its parent,
-    // so only G2 holds an index. Space after each edge, as node tuples (the
-    // root's generated ones too) + V_p + counted projections + G2's index +
-    // G2's index of G3 + live views with their indexes:
-    //   (1,2):  4 +  2 +  2 + 0 + 1 + 0 = 9
-    //   (2,3):  9 +  5 +  5 + 1 + 2 + 0 = 22   G2's (1,2) joins G3's (2,3)
-    //   (3,4): 13 +  8 +  9 + 2 + 3 + 4 = 39   root x2 = 2 yields (2,3)
-    //   (5,2): 17 + 10 + 11 + 3 + 4 + 4 = 49   G2's (5,2) joins no root x2
-    assert(spaces(Queries.hop3Proj(1000)) == Seq(9, 22, 39, 49))
-    // hop3Full: G1 and G3 are indexed too. They are all-output, so they count
-    // each V_s tuple once: 2, 4, 6, 8 more entries. G1's (5,2) adds one more
-    // counted projection, as x1 is now an output attribute.
-    //   9 + 2 = 11, 22 + 4 = 26, 39 + 6 = 45, 49 + 8 + 1 = 58
-    assert(spaces(Queries.hop3Full(1000)) == Seq(11, 26, 45, 58))
+    // so only G2 holds an index. Each view is held once: G2 is all-output, so
+    // its π_y V_s is V_s, and G1's and G3's output attribute is their key, so
+    // theirs is V_p; only the root counts its projections. G2's live view is
+    // held only in its index under G3. Space after each edge, as node tuples
+    // (the root's generated ones too) + V_p + the root's projections + G2's
+    // index + G2's index of G3 + live indexes (the root's under G1 and G2,
+    // G2's under G3):
+    //   (1,2):  4 +  2 + 0 + 0 + 1 + 0 = 7
+    //   (2,3):  9 +  5 + 0 + 1 + 2 + 0 = 17   G2's (1,2) joins G3's (2,3)
+    //   (3,4): 13 +  8 + 1 + 2 + 3 + 3 = 30   root x2 = 2 yields (2,3)
+    //   (5,2): 17 + 10 + 1 + 3 + 4 + 3 = 38   G2's (5,2) joins no root x2
+    assert(spaces(Queries.hop3Proj(1000)) == Seq(7, 17, 30, 38, 30, 17, 7, 0))
+    // hop3Full: G1 and G3 are indexed too, one entry per V_s tuple: 2, 4, 6,
+    // 8 more entries. All three are all-output, so none counts projections.
+    //   7 + 2 = 9, 17 + 4 = 21, 30 + 6 = 36, 38 + 8 = 46
+    assert(spaces(Queries.hop3Full(1000)) == Seq(9, 21, 36, 46, 36, 21, 9, 0))
   }
 
   test("Example 6.12: CROWN O(1) vs standard CP's polynomial update cost") {
